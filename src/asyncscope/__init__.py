@@ -29,7 +29,6 @@ from .report import (
     histogram,
     render_json,
     render_text,
-    report_from_dict,
     report_to_dict,
     write_histogram_csvs,
 )
@@ -52,7 +51,6 @@ from .trace_model import (
     EventKind,
     ExecutionContext,
     Mechanism,
-    MechanismFamily,
     TaskEvent,
     TaskRecord,
     ThreadIdentity,
@@ -76,7 +74,7 @@ __all__ = [
     "AsyncFacade", "CancelOutcome", "CancelToken", "ClockMode", "ClockSource",
     "DiagnosisReport", "DrainTimeout", "EventKind", "ExecutionContext",
     "FILE_EXTENSION", "GroupStats", "Heuristic", "HeuristicConfig",
-    "HistogramBin", "LineageSet", "Mechanism", "MechanismFamily", "Metric",
+    "HistogramBin", "LineageSet", "Mechanism", "Metric",
     "MetricStats", "PoolExecutor", "ProfilerError", "ProfilerSession",
     "QueueFull", "RealMonotonicClock", "ReportRow", "SCENARIOS", "Scenario",
     "ScenarioResult", "SerialQueueExecutor", "SessionClosed", "Task",
@@ -86,6 +84,6 @@ __all__ = [
     "detect_anomalies", "encode_session", "filter_ui_triggered",
     "group_by_context", "histogram", "latency", "parse_trace",
     "queuing_time", "read_trace", "render_json", "render_text",
-    "report_from_dict", "report_to_dict", "run_scenario", "session_run",
+    "report_to_dict", "run_scenario", "session_run",
     "suspiciousness", "write_histogram_csvs", "write_trace",
 ]

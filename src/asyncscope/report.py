@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from .analyzer import (
     GroupStats,
-    Heuristic,
     HeuristicConfig,
     Metric,
     MetricStats,
@@ -250,73 +249,6 @@ def report_to_dict(report: DiagnosisReport) -> dict:
             for ref, metric, bins in report.histograms
         ],
     }
-
-
-def report_from_dict(data: dict) -> DiagnosisReport:
-    """Rebuild the rankable parts of a report from its JSON form.
-
-    Contexts in a parsed report lose nothing: frames fully determine the
-    fingerprint.
-    """
-    from .trace_model import ExecutionContext
-
-    contexts = tuple(tuple(frames) for frames in data["contexts"])
-    rows = []
-    for rd in data["rows"]:
-        ctx = ExecutionContext.from_frames(contexts[rd["context_index"]])
-
-        def stats_from(d):
-            if d is None:
-                return None
-            return MetricStats(
-                mean=d["mean_ns"], variance=d["variance"],
-                median=d["median_ns"], min=d["min_ns"], max=d["max_ns"],
-            )
-
-        stats = GroupStats(
-            context=ctx,
-            mechanism=Mechanism.from_wire_tag(rd["mechanism"]),
-            n_complete=rd["n_complete"],
-            n_incomplete=rd["n_incomplete"],
-            n_cancelled=rd["n_cancelled"],
-            queuing=stats_from(rd["queuing"]),
-            latency=stats_from(rd["latency"]),
-        )
-        warnings = tuple(
-            Warning(
-                context=ctx,
-                metric=Metric(w["metric"]),
-                heuristic=Heuristic(w["heuristic"]),
-                score=w["score"],
-                evidence=tuple(sorted(w["evidence"].items())),
-            )
-            for w in rd["warnings"]
-        )
-        rows.append(ReportRow(
-            group_ref=rd["group_ref"],
-            context_index=rd["context_index"],
-            config_index=rd["config_index"],
-            mechanism=stats.mechanism,
-            stats=stats,
-            warnings=warnings,
-            suspiciousness=rd["suspiciousness"],
-        ))
-    histograms = tuple(
-        (
-            hd["group_ref"],
-            hd["metric"],
-            tuple(HistogramBin(b[0], b[1], b[2]) for b in hd["bins"]),
-        )
-        for hd in data["histograms"]
-    )
-    return DiagnosisReport(
-        config_entries=tuple(
-            (e["index"], e["label"]) for e in data["config_entries"]
-        ),
-        rows=tuple(rows),
-        contexts=contexts,
-        histograms=histograms,
-    )
 
 
 def render_json(report: DiagnosisReport) -> bytes:

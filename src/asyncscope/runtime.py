@@ -2,9 +2,10 @@
 
 Every submission path emits a Schedule event carrying the caller's
 captured stack; execution emits Start/End (or Cancel) on the worker.
-Under a virtual clock a single-threaded discrete-event scheduler drives
-execution, so traces are byte-identical across runs; under the real
-clock the same executors run on actual threads.
+Each threading style's policy is written once and runs on one of two
+engines. Under a virtual clock a single-threaded discrete-event
+scheduler drives execution, so traces are byte-identical across runs;
+under the real clock each worker is an actual thread.
 """
 
 from __future__ import annotations
@@ -12,12 +13,14 @@ from __future__ import annotations
 import enum
 import heapq
 import itertools
+import queue
 import sys
 import threading
 import time
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 
 from .clock import ClockMode, ClockSource, VirtualClock
 from .trace_model import (
@@ -124,23 +127,36 @@ class _Status(enum.Enum):
 
 class _TaskState:
     __slots__ = (
-        "key", "task", "mechanism", "requested_by", "status",
-        "token", "gen", "start_ns", "worker", "on_done", "queue",
+        "key", "task", "mechanism", "requested_by", "owner", "status",
+        "token", "start_ns", "worker",
     )
 
     def __init__(self, key: str, task: Task, mechanism: Mechanism,
-                 requested_by: ThreadIdentity) -> None:
+                 requested_by: ThreadIdentity, owner: "_Executor") -> None:
         self.key = key
         self.task = task
         self.mechanism = mechanism
         self.requested_by = requested_by
+        self.owner = owner  # its lock guards status
         self.status = _Status.PENDING
         self.token = CancelToken()
-        self.gen = 0  # invalidates stale virtual completion events
         self.start_ns: int | None = None
-        self.worker: ThreadIdentity | None = None
-        self.on_done = None  # worker-release callback, set at start
-        self.queue: deque | None = None  # pending queue holding this task
+        self.worker: _Worker | None = None
+
+
+class _Worker:
+    """One worker thread of an executor. The thread engine adds the real
+    thread, its mailbox of tasks and at most one pending callback."""
+
+    __slots__ = ("ident", "idle_gen", "retired", "timer", "mailbox", "thread")
+
+    def __init__(self, ident: ThreadIdentity) -> None:
+        self.ident = ident
+        self.idle_gen = 0  # invalidates stale retirement callbacks
+        self.retired = False
+        self.timer: tuple | None = None  # (due monotonic ns, callback)
+        self.mailbox: queue.SimpleQueue | None = None
+        self.thread: threading.Thread | None = None
 
 
 def _synthetic_body(task: Task):
@@ -166,6 +182,12 @@ def _synthetic_body(task: Task):
     return body
 
 
+_SERIAL_MECHANISMS = frozenset({
+    Mechanism.HANDLER_LOOPER, Mechanism.ASYNC_QUERY,
+    Mechanism.SERIAL_SERVICE, Mechanism.ASYNC_FACADE,
+})
+
+
 class ProfilerSession:
     """One profiled run: executors, event collection, and drain."""
 
@@ -179,7 +201,6 @@ class ProfilerSession:
         drain_timeout_s: float = 30.0,
     ) -> None:
         self.clock = clock if clock is not None else VirtualClock()
-        self.virtual = self.clock.mode is ClockMode.VIRTUAL
         self.config_label = config_label
         self.session_id = session_id
         self.capture_depth = capture_depth
@@ -191,17 +212,20 @@ class ProfilerSession:
         self._buffer_lock = threading.Lock()
         self._tls = threading.local()
         self._next_tid = itertools.count(1).__next__
-        self._key_counters: dict[str, int] = {}
+        self._key_counters: dict[str, itertools.count] = {}
         self._tasks: dict[str, _TaskState] = {}
-        self._quiesce = threading.Condition()
+        # Counting under the lock itself skips Condition's Python-level
+        # __enter__/__exit__ on every submission and completion.
+        self._count_lock = threading.RLock()
+        self._quiesce = threading.Condition(self._count_lock)
         self._outstanding = 0
         self._services: dict[str, SerialQueueExecutor] = {}
-        self._executors: list = []
-        self._timers: list[threading.Timer] = []
         self._facade: AsyncFacade | None = None
-        if self.virtual:
-            self._heap: list = []
-            self._sim_seq = itertools.count().__next__
+        if self.clock.mode is ClockMode.VIRTUAL:
+            self._engine = _VirtualEngine(self)
+        else:
+            self._engine = _ThreadEngine(self)
+        self._fresh_threads = _Executor(self)
         self.main_thread = ThreadIdentity(self._next_tid(), None, True)
         self._tls.ident = self.main_thread
 
@@ -232,6 +256,16 @@ class ProfilerSession:
         finally:
             self._tls.ident = prev
 
+    def _call_as(self, ident: ThreadIdentity, fn, *args) -> None:
+        """Call ``fn(*args)`` on this thread under the identity ``ident``."""
+        tls = self._tls
+        prev = getattr(tls, "ident", None)
+        tls.ident = ident
+        try:
+            fn(*args)
+        finally:
+            tls.ident = prev
+
     # -- event emission ----------------------------------------------------
 
     def _buffer(self) -> list:
@@ -254,8 +288,7 @@ class ProfilerSession:
     def _capture_context(self) -> tuple:
         """Raw (module, symbol, line) triples, innermost first.
 
-        Formatting and fingerprinting are deferred to drain to keep the
-        submission path cheap.
+        Formatting is deferred to drain to keep the submission path cheap.
         """
         frames: list = []
         depth = self.capture_depth
@@ -269,120 +302,72 @@ class ProfilerSession:
             frames.append(("<unknown>", "<unknown>", 0))
         return tuple(frames)
 
-    # -- task registration ---------------------------------------------------
+    # -- task lifecycle ------------------------------------------------------
 
     def _register_task(self, task: Task, mechanism: Mechanism,
                        requester: ThreadIdentity | None,
-                       key_prefix: str | None = None) -> _TaskState:
+                       key_prefix: str | None, owner: "_Executor") -> _TaskState:
         if self._closed:
             raise SessionClosed("session is closed")
         if requester is None:
             requester = self.current_thread()
         prefix = key_prefix if key_prefix is not None else mechanism.wire_tag
-        n = self._key_counters.get(prefix, 0) + 1
-        self._key_counters[prefix] = n
-        state = _TaskState(f"{prefix}#{n}", task, mechanism, requester)
+        # setdefault and next() are each atomic under the GIL, so
+        # concurrent submitters never draw the same key.
+        counter = self._key_counters.get(prefix)
+        if counter is None:
+            counter = self._key_counters.setdefault(prefix, itertools.count(1))
+        state = _TaskState(f"{prefix}#{next(counter)}", task, mechanism,
+                           requester, owner)
         self._tasks[state.key] = state
-        with self._quiesce:
+        with self._count_lock:
             self._outstanding += 1
         context = self._capture_context() if self.emit_events else None
         self._emit(EventKind.SCHEDULE, mechanism, state.key, requester,
                    context, task.label)
         return state
 
-    def _task_finished(self) -> None:
-        with self._quiesce:
-            self._outstanding -= 1
-            if self._outstanding == 0:
-                self._quiesce.notify_all()
-
-    # -- virtual engine ------------------------------------------------------
-
-    def _post(self, t_ns: int, fn) -> None:
-        heapq.heappush(self._heap, (t_ns, self._sim_seq(), fn))
-
-    def _run_virtual(self) -> None:
-        heap = self._heap
-        while heap:
-            t_ns, _, fn = heapq.heappop(heap)
-            self.clock._advance_to(t_ns)
-            fn()
-
-    def _start_virtual(self, state: _TaskState, worker: ThreadIdentity, on_done) -> None:
-        def action() -> None:
-            if state.status is not _Status.PENDING:
-                if on_done is not None:
-                    on_done(worker)
-                return
-            now = self.clock.now_ns()
-            state.status = _Status.RUNNING
-            state.start_ns = now
-            state.worker = worker
-            state.on_done = on_done
-            self._emit(EventKind.START, state.mechanism, state.key, worker, None, None)
-            if state.task.body is not None:
-                prev = self.current_thread()
-                self._tls.ident = worker
-                try:
-                    state.task.body(state.token)
-                finally:
-                    self._tls.ident = prev
-            duration = state.task.synthetic_duration_ns
-            if duration is None:
-                return  # never finishes; surfaces at drain as incomplete
-            gen = state.gen
-            self._post(now + duration,
-                       lambda: self._complete_virtual(state, worker, gen))
-
-        self._post(self.clock.now_ns(), action)
-
-    def _complete_virtual(self, state: _TaskState, worker: ThreadIdentity, gen: int) -> None:
-        if state.gen != gen or state.status is not _Status.RUNNING:
-            return
-        state.status = _Status.DONE
-        self._emit(EventKind.END, state.mechanism, state.key, worker, None, None)
-        self._task_finished()
-        if state.on_done is not None:
-            state.on_done(worker)
-
-    def _cancel_complete_virtual(self, state: _TaskState) -> None:
-        if state.status is not _Status.RUNNING:
-            return
-        state.status = _Status.CANCELLED
-        self._emit(EventKind.CANCEL, state.mechanism, state.key, state.worker,
-                   None, "cancelled while running")
-        self._task_finished()
-        if state.on_done is not None:
-            state.on_done(state.worker)
-
-    # -- real engine -----------------------------------------------------------
-
-    def _run_task_real(self, state: _TaskState, worker: ThreadIdentity) -> bool:
-        """Execute one task on the calling worker thread. Returns False if
-        the task had been cancelled while queued."""
-        with self._quiesce:
+    def _begin(self, state: _TaskState, worker: "_Worker") -> bool:
+        """Mark a task handed to ``worker`` running, unless it was
+        cancelled while it waited."""
+        with state.owner._lock:
             if state.status is not _Status.PENDING:
                 return False
             state.status = _Status.RUNNING
             state.worker = worker
-        state.start_ns = self.clock.now_ns()
-        self._emit(EventKind.START, state.mechanism, state.key, worker, None, None)
-        body = state.task.body
-        if body is None:
-            body = _synthetic_body(state.task)
-        try:
-            body(state.token)
-        finally:
-            with self._quiesce:
-                was_signalled = state.token.cancelled and state.task.cancellation_check
-                state.status = _Status.CANCELLED if was_signalled else _Status.DONE
-            if was_signalled:
-                self._emit(EventKind.CANCEL, state.mechanism, state.key, worker,
-                           None, "cancelled while running")
-            else:
-                self._emit(EventKind.END, state.mechanism, state.key, worker, None, None)
-            self._task_finished()
+            state.start_ns = self.clock.now_ns()
+        self._emit(EventKind.START, state.mechanism, state.key, worker.ident,
+                   None, None)
         return True
+
+    def _finish(self, state: _TaskState, worker: "_Worker",
+                cancelled: bool) -> _TaskState | None:
+        """End a running task, as cancelled or done, and return the task
+        its worker runs next."""
+        owner = state.owner
+        with owner._lock:
+            state.status = _Status.CANCELLED if cancelled else _Status.DONE
+            upcoming = owner._next_task(worker)
+        if cancelled:
+            self._emit(EventKind.CANCEL, state.mechanism, state.key,
+                       worker.ident, None, "cancelled while running")
+        else:
+            self._emit(EventKind.END, state.mechanism, state.key, worker.ident,
+                       None, None)
+        self._task_finished()
+        return upcoming
+
+    def _skip(self, state: _TaskState, worker: "_Worker") -> _TaskState | None:
+        """The task a worker runs next when the one it was handed had been
+        cancelled before it began."""
+        with state.owner._lock:
+            return state.owner._next_task(worker)
+
+    def _task_finished(self) -> None:
+        with self._count_lock:
+            self._outstanding -= 1
+            if self._outstanding == 0:
+                self._quiesce.notify_all()
 
     # -- submission APIs ---------------------------------------------------------
 
@@ -392,32 +377,21 @@ class ProfilerSession:
             raise SessionClosed("session is closed")
         if requester is None:
             requester = self.current_thread()
-        ident = self._new_worker_identity(requester)
-        state = self._register_task(task, Mechanism.NEW_THREAD, requester)
-        if self.virtual:
-            self._start_virtual(state, ident, None)
-        else:
-            thread = threading.Thread(
-                target=self._real_thread_main, args=(state, ident), daemon=True
-            )
-            thread.start()
+        executor = self._fresh_threads
+        worker = executor._new_worker(requester)
+        state = self._register_task(task, Mechanism.NEW_THREAD, requester,
+                                    None, executor)
+        self._engine.start(state, worker)
         return state.key
-
-    def _real_thread_main(self, state: _TaskState, ident: ThreadIdentity) -> None:
-        self._tls.ident = ident
-        self._run_task_real(state, ident)
 
     def serial_executor(
         self,
         mechanism: Mechanism = Mechanism.HANDLER_LOOPER,
         key_prefix: str | None = None,
     ) -> "SerialQueueExecutor":
-        if mechanism.family is not Mechanism.HANDLER_LOOPER.family and \
-                mechanism is not Mechanism.ASYNC_FACADE:
+        if mechanism not in _SERIAL_MECHANISMS:
             raise ValueError(f"{mechanism} is not a serial-queue mechanism")
-        executor = SerialQueueExecutor(self, mechanism, key_prefix)
-        self._executors.append(executor)
-        return executor
+        return SerialQueueExecutor(self, mechanism, key_prefix)
 
     def pool_executor(
         self,
@@ -426,9 +400,7 @@ class ProfilerSession:
         queue_bound: int | None = None,
         keep_alive_ns: int = DEFAULT_KEEP_ALIVE_NS,
     ) -> "PoolExecutor":
-        executor = PoolExecutor(self, core_size, max_size, queue_bound, keep_alive_ns)
-        self._executors.append(executor)
-        return executor
+        return PoolExecutor(self, core_size, max_size, queue_bound, keep_alive_ns)
 
     @property
     def facade(self) -> "AsyncFacade":
@@ -455,56 +427,24 @@ class ProfilerSession:
         state = self._tasks.get(task_key)
         if state is None:
             raise UnknownTask(f"unknown task {task_key!r}")
-        if self.virtual:
-            return self._cancel_virtual(state)
-        return self._cancel_real(state)
-
-    def _cancel_virtual(self, state: _TaskState) -> CancelOutcome:
-        if state.status in (_Status.DONE, _Status.CANCELLED):
-            return CancelOutcome.TOO_LATE_FINISHED
-        if state.status is _Status.PENDING:
+        executor = state.owner
+        with executor._lock:
+            if state.status is _Status.RUNNING:
+                if not state.task.cancellation_check:
+                    return CancelOutcome.NOT_CANCELLABLE
+                self._engine.signal(state)
+                return CancelOutcome.SIGNALLED_RUNNING
+            if state.status is not _Status.PENDING:
+                return CancelOutcome.TOO_LATE_FINISHED
             state.status = _Status.CANCELLED
-            if state.queue is not None:
-                try:
-                    state.queue.remove(state)
-                except ValueError:
-                    pass
+            try:
+                executor._pending.remove(state)
+            except ValueError:
+                pass  # already handed to a worker, which will skip it
             self._emit(EventKind.CANCEL, state.mechanism, state.key,
                        self.current_thread(), None, "cancelled while queued")
             self._task_finished()
             return CancelOutcome.REMOVED_FROM_QUEUE
-        # running
-        if not state.task.cancellation_check:
-            return CancelOutcome.NOT_CANCELLABLE
-        now = self.clock.now_ns()
-        interval = state.task.check_interval_ns
-        elapsed = now - state.start_ns
-        checks = max(-(-elapsed // interval), 1)  # next poll, ceil
-        early_end = state.start_ns + checks * interval
-        duration = state.task.synthetic_duration_ns
-        if duration is not None and early_end >= state.start_ns + duration:
-            return CancelOutcome.SIGNALLED_RUNNING  # finishes naturally first
-        state.token.cancelled = True
-        state.gen += 1  # drop the natural completion event
-        self._post(early_end, lambda: self._cancel_complete_virtual(state))
-        return CancelOutcome.SIGNALLED_RUNNING
-
-    def _cancel_real(self, state: _TaskState) -> CancelOutcome:
-        with self._quiesce:
-            if state.status in (_Status.DONE, _Status.CANCELLED):
-                return CancelOutcome.TOO_LATE_FINISHED
-            if state.status is _Status.PENDING:
-                state.status = _Status.CANCELLED
-                self._emit(EventKind.CANCEL, state.mechanism, state.key,
-                           self.current_thread(), None, "cancelled while queued")
-                self._outstanding -= 1
-                if self._outstanding == 0:
-                    self._quiesce.notify_all()
-                return CancelOutcome.REMOVED_FROM_QUEUE
-            if not state.task.cancellation_check:
-                return CancelOutcome.NOT_CANCELLABLE
-            state.token.cancelled = True
-            return CancelOutcome.SIGNALLED_RUNNING
 
     # -- timed actions ------------------------------------------------------------
 
@@ -512,47 +452,13 @@ class ProfilerSession:
         """Run ``fn`` at session time ``t_ns`` under the caller's identity."""
         if self._closed:
             raise SessionClosed("session is closed")
-        ident = self.current_thread()
-        if self.virtual:
-            if t_ns < self.clock.now_ns():
-                raise ValueError("call_at target is in the past")
-
-            def action() -> None:
-                prev = self.current_thread()
-                self._tls.ident = ident
-                try:
-                    fn()
-                finally:
-                    self._tls.ident = prev
-
-            self._post(t_ns, action)
-        else:
-            delay_s = max(0.0, (t_ns - self.clock.now_ns()) / 1e9)
-
-            def run() -> None:
-                self._tls.ident = ident
-                fn()
-
-            timer = threading.Timer(delay_s, run)
-            timer.daemon = True
-            self._timers.append(timer)
-            timer.start()
+        self._engine.call_at(t_ns, self.current_thread(), fn)
 
     # -- drain ----------------------------------------------------------------------
 
     def wait_idle(self, timeout_s: float | None = None) -> bool:
         """Block until all submitted tasks reached a terminal state."""
-        if self.virtual:
-            self._run_virtual()
-            return self._outstanding == 0
-        deadline = None if timeout_s is None else time.monotonic() + timeout_s
-        with self._quiesce:
-            while self._outstanding > 0:
-                remaining = None if deadline is None else deadline - time.monotonic()
-                if remaining is not None and remaining <= 0:
-                    return False
-                self._quiesce.wait(remaining)
-        return True
+        return self._engine.wait_idle(timeout_s)
 
     def drain(self, timeout_s: float | None = None) -> TraceSession:
         """Finish outstanding work, close the session, and assemble the trace.
@@ -560,16 +466,11 @@ class ProfilerSession:
         Raises :class:`DrainTimeout` (carrying the partial session) when
         tasks never reach a terminal state.
         """
-        if not self.virtual:
-            for timer in self._timers:
-                timer.join()
         quiesced = self.wait_idle(
             timeout_s if timeout_s is not None else self.drain_timeout_s
         )
         self._closed = True
-        if not self.virtual:
-            for executor in self._executors:
-                executor._shutdown_quiet()
+        self._engine.stop()
         session = self._assemble()
         if not quiesced:
             raise DrainTimeout(
@@ -609,97 +510,41 @@ class ProfilerSession:
         )
 
 
-class SerialQueueExecutor:
-    """Single-worker FIFO queue (looper/handler, query handler, service)."""
+# -- executors: each threading style's policy, written once ----------------------
 
-    def __init__(self, session: ProfilerSession, mechanism: Mechanism,
-                 key_prefix: str | None = None) -> None:
+
+class _Executor:
+    """The fresh-thread policy: each task gets a new worker, which retires
+    after it. The lock and pending queue are what every policy shares;
+    the lock guards the policy's state and the status of its tasks."""
+
+    def __init__(self, session: ProfilerSession) -> None:
         self._session = session
-        self.mechanism = mechanism
-        self._key_prefix = key_prefix
+        self._engine = session._engine
+        self._lock = threading.Lock()
         self._pending: deque[_TaskState] = deque()
-        self._closed = False
-        self.worker = session._new_worker_identity(session.current_thread())
-        if not session.virtual:
-            self._cv = threading.Condition()
-            self._thread = threading.Thread(target=self._worker_loop, daemon=True)
-            self._thread.start()
-        else:
-            self._busy = False
 
-    def submit(self, task: Task, requester: ThreadIdentity | None = None) -> str:
-        if self._closed:
-            raise WorkerDead("serial executor worker is stopped")
-        session = self._session
-        if session.virtual:
-            state = session._register_task(task, self.mechanism, requester,
-                                           self._key_prefix)
-            if self._busy:
-                state.queue = self._pending
-                self._pending.append(state)
-            else:
-                self._busy = True
-                session._start_virtual(state, self.worker, self._virtual_done)
-            return state.key
-        with self._cv:
-            if self._closed:
-                raise WorkerDead("serial executor worker is stopped")
-            state = session._register_task(task, self.mechanism, requester,
-                                           self._key_prefix)
-            self._pending.append(state)
-            self._cv.notify()
-        return state.key
+    def _new_worker(self, parent: ThreadIdentity) -> _Worker:
+        return _Worker(self._session._new_worker_identity(parent))
 
-    def _virtual_done(self, worker: ThreadIdentity) -> None:
-        while self._pending:
-            state = self._pending.popleft()
-            state.queue = None
-            if state.status is _Status.PENDING:
-                self._session._start_virtual(state, worker, self._virtual_done)
-                return
-        self._busy = False
-
-    def _worker_loop(self) -> None:
-        session = self._session
-        session._tls.ident = self.worker
-        while True:
-            with self._cv:
-                while not self._pending and not self._closed:
-                    self._cv.wait()
-                if self._closed and not self._pending:
-                    return
-                state = self._pending.popleft()
-            session._run_task_real(state, self.worker)
-
-    def close(self) -> None:
-        """Stop the worker; later submissions raise WorkerDead."""
-        if self._session.virtual:
-            self._closed = True
-            return
-        with self._cv:
-            self._closed = True
-            self._cv.notify_all()
-
-    def _shutdown_quiet(self) -> None:
-        self.close()
-        if not self._session.virtual:
-            self._thread.join(timeout=1.0)
+    def _next_task(self, worker: _Worker) -> _TaskState | None:
+        """What ``worker`` runs next, now that it is free; called with the
+        lock held."""
+        worker.retired = True
+        return None
 
 
-class _VirtualWorker:
-    __slots__ = ("ident", "idle_gen")
+class _Pool(_Executor):
+    """The bounded pool policy, shared by pools and serial queues.
 
-    def __init__(self, ident: ThreadIdentity) -> None:
-        self.ident = ident
-        self.idle_gen = 0
-
-
-class PoolExecutor:
-    """Bounded worker pool with a pending FIFO for overflow.
-
-    Grows a worker (up to ``max_size``) before queueing; workers above
-    ``core_size`` retire after ``keep_alive_ns`` of idleness.
+    A submission goes to the longest-idle worker, else to a new worker
+    while fewer than ``max_size`` exist, else to the FIFO queue, which
+    refuses it with :class:`QueueFull` at ``queue_bound``. A freed
+    worker takes the queue's head or goes idle; an idle worker above
+    ``core_size`` retires after ``keep_alive_ns``.
     """
+
+    _refusal = (PoolShutDown, "pool executor is shut down")
 
     def __init__(self, session: ProfilerSession, core_size: int, max_size: int,
                  queue_bound: int | None, keep_alive_ns: int) -> None:
@@ -707,131 +552,102 @@ class PoolExecutor:
             raise ValueError("need 1 <= core_size <= max_size")
         if queue_bound is not None and queue_bound < 1:
             raise ValueError("queue_bound must be positive or None")
-        self._session = session
+        super().__init__(session)
         self.core_size = core_size
         self.max_size = max_size
         self.queue_bound = queue_bound
         self.keep_alive_ns = keep_alive_ns
-        self._pending: deque[_TaskState] = deque()
+        self._idle: deque[_Worker] = deque()
+        self._nworkers = 0
         self._down = False
-        if session.virtual:
-            self._idle: list[_VirtualWorker] = []
-            self._workers: dict[int, _VirtualWorker] = {}
-        else:
-            self._cv = threading.Condition()
-            self._threads: dict[int, threading.Thread] = {}
-            self._nworkers = 0
-            self._nidle = 0
+
+    def _add_worker(self, parent: ThreadIdentity) -> _Worker:
+        self._nworkers += 1
+        return self._new_worker(parent)
+
+    def _submit(self, task: Task, requester: ThreadIdentity | None,
+                mechanism: Mechanism, key_prefix: str | None = None) -> str:
+        with self._lock:
+            if self._down:
+                error, message = self._refusal
+                raise error(message)
+            idle = self._idle
+            if not idle and self._nworkers >= self.max_size \
+                    and self.queue_bound is not None \
+                    and len(self._pending) >= self.queue_bound:
+                raise QueueFull("pool pending queue is at its bound")
+            state = self._session._register_task(task, mechanism, requester,
+                                                 key_prefix, self)
+            if idle:
+                worker = idle.popleft()
+                worker.idle_gen += 1
+            elif self._nworkers < self.max_size:
+                worker = self._add_worker(state.requested_by)
+            else:
+                self._pending.append(state)
+                return state.key
+            self._engine.start(state, worker)
+            return state.key
+
+    def _next_task(self, worker: _Worker) -> _TaskState | None:
+        if self._pending:
+            return self._pending.popleft()
+        worker.idle_gen += 1
+        self._idle.append(worker)
+        if self._nworkers > self.core_size:
+            gen = worker.idle_gen
+            self._engine.call_later(worker, self.keep_alive_ns,
+                                    lambda: self._retire(worker, gen))
+        return None
+
+    def _retire(self, worker: _Worker, gen: int) -> None:
+        with self._lock:
+            if worker.idle_gen == gen and self._nworkers > self.core_size:
+                self._idle.remove(worker)
+                self._nworkers -= 1
+                worker.retired = True
+
+
+class SerialQueueExecutor(_Pool):
+    """Single-worker FIFO queue (looper/handler, query handler, service):
+    the pool policy with one worker, spawned at construction, and no
+    queue bound."""
+
+    _refusal = (WorkerDead, "serial executor worker is stopped")
+
+    def __init__(self, session: ProfilerSession, mechanism: Mechanism,
+                 key_prefix: str | None = None) -> None:
+        super().__init__(session, 1, 1, None, 0)
+        self.mechanism = mechanism
+        self._key_prefix = key_prefix
+        worker = self._add_worker(session.current_thread())
+        self._idle.append(worker)
+        self.worker = worker.ident
+
+    def submit(self, task: Task, requester: ThreadIdentity | None = None) -> str:
+        return self._submit(task, requester, self.mechanism, self._key_prefix)
+
+    def close(self) -> None:
+        """Refuse later submissions with WorkerDead; queued tasks still run."""
+        with self._lock:
+            self._down = True
+
+
+class PoolExecutor(_Pool):
+    """Bounded worker pool with a pending FIFO for overflow.
+
+    Grows a worker (up to ``max_size``) before queueing; workers above
+    ``core_size`` retire after ``keep_alive_ns`` of idleness.
+    """
 
     def submit(self, task: Task, requester: ThreadIdentity | None = None,
                mechanism: Mechanism = Mechanism.POOL_EXECUTOR) -> str:
-        if self._down:
-            raise PoolShutDown("pool executor is shut down")
-        session = self._session
-        if session.virtual:
-            return self._submit_virtual(task, requester, mechanism)
-        return self._submit_real(task, requester, mechanism)
-
-    def _submit_virtual(self, task, requester, mechanism) -> str:
-        session = self._session
-        if not self._idle and len(self._workers) >= self.max_size \
-                and self.queue_bound is not None \
-                and len(self._pending) >= self.queue_bound:
-            raise QueueFull("pool pending queue is at its bound")
-        state = session._register_task(task, mechanism, requester)
-        if self._idle:
-            worker = self._idle.pop(0)
-            worker.idle_gen += 1
-            session._start_virtual(state, worker.ident, self._virtual_done)
-        elif len(self._workers) < self.max_size:
-            worker = _VirtualWorker(
-                session._new_worker_identity(state.requested_by))
-            self._workers[worker.ident.thread_id] = worker
-            session._start_virtual(state, worker.ident, self._virtual_done)
-        else:
-            state.queue = self._pending
-            self._pending.append(state)
-        return state.key
-
-    def _virtual_done(self, ident: ThreadIdentity) -> None:
-        session = self._session
-        while self._pending:
-            state = self._pending.popleft()
-            state.queue = None
-            if state.status is _Status.PENDING:
-                session._start_virtual(state, ident, self._virtual_done)
-                return
-        worker = self._workers[ident.thread_id]
-        worker.idle_gen += 1
-        self._idle.append(worker)
-        if len(self._workers) > self.core_size:
-            gen = worker.idle_gen
-            session._post(session.clock.now_ns() + self.keep_alive_ns,
-                          lambda: self._virtual_retire(worker, gen))
-
-    def _virtual_retire(self, worker: _VirtualWorker, gen: int) -> None:
-        if worker.idle_gen != gen or len(self._workers) <= self.core_size:
-            return
-        self._idle.remove(worker)
-        del self._workers[worker.ident.thread_id]
-
-    def _submit_real(self, task, requester, mechanism) -> str:
-        session = self._session
-        with self._cv:
-            if self._down:
-                raise PoolShutDown("pool executor is shut down")
-            grow = self._nidle == 0 and self._nworkers < self.max_size
-            if not grow and self._nidle == 0 and self.queue_bound is not None \
-                    and len(self._pending) >= self.queue_bound:
-                raise QueueFull("pool pending queue is at its bound")
-            state = session._register_task(task, requester=requester,
-                                           mechanism=mechanism)
-            self._pending.append(state)
-            if grow:
-                ident = session._new_worker_identity(state.requested_by)
-                self._nworkers += 1
-                thread = threading.Thread(
-                    target=self._worker_loop, args=(ident,), daemon=True)
-                self._threads[ident.thread_id] = thread
-                thread.start()
-            else:
-                self._cv.notify()
-        return state.key
-
-    def _worker_loop(self, ident: ThreadIdentity) -> None:
-        session = self._session
-        session._tls.ident = ident
-        keep_alive_s = self.keep_alive_ns / 1e9
-        while True:
-            with self._cv:
-                self._nidle += 1
-                while not self._pending and not self._down:
-                    can_retire = self._nworkers > self.core_size
-                    notified = self._cv.wait(keep_alive_s if can_retire else None)
-                    if not notified and can_retire and not self._pending:
-                        self._nidle -= 1
-                        self._nworkers -= 1
-                        del self._threads[ident.thread_id]
-                        return
-                self._nidle -= 1
-                if self._down and not self._pending:
-                    self._nworkers -= 1
-                    return
-                state = self._pending.popleft()
-            session._run_task_real(state, ident)
+        return self._submit(task, requester, mechanism)
 
     def shut_down(self) -> None:
-        """Refuse further submissions; real workers exit once drained."""
-        self._down = True
-        if not self._session.virtual:
-            with self._cv:
-                self._cv.notify_all()
-
-    def _shutdown_quiet(self) -> None:
-        self.shut_down()
-        if not self._session.virtual:
-            for thread in list(self._threads.values()):
-                thread.join(timeout=1.0)
+        """Refuse later submissions with PoolShutDown; queued tasks still run."""
+        with self._lock:
+            self._down = True
 
 
 class AsyncFacade:
@@ -853,6 +669,181 @@ class AsyncFacade:
     def execute_on(self, pool: PoolExecutor, task: Task,
                    requester: ThreadIdentity | None = None) -> str:
         return pool.submit(task, requester, mechanism=Mechanism.ASYNC_FACADE)
+
+
+# -- engines: where and when the executors' decisions run -----------------------
+#
+# Both offer the executors the same two steps: ``start(state, worker)``
+# runs a task on a worker, and ``call_later(worker, delay_ns, fn)`` calls
+# back on a worker after a delay. When a worker's task ends, or turns out
+# cancelled before it began, the executor's ``_next_task`` names the
+# worker's next task.
+
+
+class _VirtualEngine:
+    """Discrete-event engine: a heap of timed actions run on the draining
+    thread, so traces are byte-identical across runs."""
+
+    def __init__(self, session: ProfilerSession) -> None:
+        self._session = session
+        self._clock = session.clock
+        self._heap: list = []
+        self._seq = itertools.count().__next__
+
+    def _post(self, t_ns: int, fn) -> None:
+        heapq.heappush(self._heap, (t_ns, self._seq(), fn))
+
+    def start(self, state: _TaskState, worker: _Worker) -> None:
+        self._post(self._clock.now_ns(), partial(self._run, state, worker))
+
+    def call_later(self, worker: _Worker, delay_ns: int, fn) -> None:
+        self._post(self._clock.now_ns() + delay_ns,
+                   partial(self._session._call_as, worker.ident, fn))
+
+    def call_at(self, t_ns: int, ident: ThreadIdentity, fn) -> None:
+        if t_ns < self._clock.now_ns():
+            raise ValueError("call_at target is in the past")
+        self._post(t_ns, partial(self._session._call_as, ident, fn))
+
+    def signal(self, state: _TaskState) -> None:
+        """End a running checking task at its next poll, unless it
+        finishes first."""
+        if state.token.cancelled:
+            return  # signalled before: that early end comes first
+        interval = state.task.check_interval_ns
+        elapsed = self._clock.now_ns() - state.start_ns
+        checks = max(-(-elapsed // interval), 1)  # next poll, ceil
+        early_end = state.start_ns + checks * interval
+        duration = state.task.synthetic_duration_ns
+        if duration is not None and early_end >= state.start_ns + duration:
+            return
+        state.token.cancelled = True
+        self._post(early_end, partial(self._end, state, state.worker, True))
+
+    def _run(self, state: _TaskState, worker: _Worker) -> None:
+        session = self._session
+        if not session._begin(state, worker):
+            upcoming = session._skip(state, worker)
+            if upcoming is not None:
+                self.start(upcoming, worker)
+            return
+        if state.task.body is not None:
+            # Bodies run on the draining thread; what they raise leaves drain().
+            session._call_as(worker.ident, state.task.body, state.token)
+        duration = state.task.synthetic_duration_ns
+        if duration is None:
+            return  # never finishes; surfaces at drain as incomplete
+        self._post(state.start_ns + duration, partial(self._end, state, worker, False))
+
+    def _end(self, state: _TaskState, worker: _Worker, cancelled: bool) -> None:
+        if not cancelled and state.token.cancelled:
+            return  # signalled: the early end replaces the natural one
+        upcoming = self._session._finish(state, worker, cancelled)
+        if upcoming is not None:
+            self.start(upcoming, worker)
+
+    def wait_idle(self, timeout_s: float | None) -> bool:
+        heap = self._heap
+        while heap:
+            t_ns, _, fn = heapq.heappop(heap)
+            self._clock._advance_to(t_ns)
+            fn()
+        return self._session._outstanding == 0
+
+    def stop(self) -> None:
+        pass
+
+
+class _ThreadEngine:
+    """Real engine: one thread per worker, running each task its executor
+    hands it, on the real clock."""
+
+    def __init__(self, session: ProfilerSession) -> None:
+        self._session = session
+        self._clock = session.clock
+        self._timers: list[threading.Timer] = []
+        self._live: set[_Worker] = set()
+
+    def start(self, state: _TaskState, worker: _Worker) -> None:
+        if worker.thread is None:
+            worker.mailbox = queue.SimpleQueue()
+            worker.thread = threading.Thread(target=self._loop, args=(worker,),
+                                             daemon=True)
+            self._live.add(worker)
+            worker.thread.start()
+        worker.mailbox.put(state)
+
+    def call_later(self, worker: _Worker, delay_ns: int, fn) -> None:
+        # Executors call this from _next_task, on the worker's own thread.
+        # A newer callback replaces a pending one, which is stale by then.
+        worker.timer = (time.monotonic_ns() + delay_ns, fn)
+
+    def call_at(self, t_ns: int, ident: ThreadIdentity, fn) -> None:
+        delay_s = max(0.0, (t_ns - self._clock.now_ns()) / 1e9)
+        timer = threading.Timer(delay_s, self._session._call_as, (ident, fn))
+        timer.daemon = True
+        self._timers.append(timer)
+        timer.start()
+
+    def signal(self, state: _TaskState) -> None:
+        state.token.cancelled = True
+
+    def _loop(self, worker: _Worker) -> None:
+        self._session._tls.ident = worker.ident
+        while not worker.retired:
+            timeout = None
+            if worker.timer is not None:
+                timeout = max(0.0, (worker.timer[0] - time.monotonic_ns()) / 1e9)
+            try:
+                state = worker.mailbox.get(timeout=timeout)
+            except queue.Empty:
+                fn, worker.timer = worker.timer[1], None
+                fn()
+                continue
+            if state is None:  # the engine stopped
+                break
+            while state is not None:
+                state = self._run(state, worker)
+        self._live.discard(worker)
+
+    def _run(self, state: _TaskState, worker: _Worker) -> _TaskState | None:
+        """Run a task; return the task the worker runs next."""
+        session = self._session
+        if not session._begin(state, worker):
+            return session._skip(state, worker)
+        body = state.task.body
+        if body is None:
+            body = _synthetic_body(state.task)
+        try:
+            body(state.token)
+        except Exception:
+            # The worker outlives a raising body; the hook reports it.
+            threading.excepthook(threading.ExceptHookArgs(
+                (*sys.exc_info(), threading.current_thread())))
+        return session._finish(state, worker,
+                               state.token.cancelled and state.task.cancellation_check)
+
+    def wait_idle(self, timeout_s: float | None) -> bool:
+        deadline = None if timeout_s is None else time.monotonic() + timeout_s
+
+        def remaining() -> float | None:
+            return None if deadline is None else max(0.0, deadline - time.monotonic())
+
+        for timer in self._timers:  # grows while timed actions add more
+            timer.join(remaining())
+        session = self._session
+        with session._quiesce:
+            return session._quiesce.wait_for(
+                lambda: session._outstanding == 0, remaining())
+
+    def stop(self) -> None:
+        """End every worker thread once it has no task left."""
+        workers = list(self._live)
+        for worker in workers:
+            worker.mailbox.put(None)
+        for worker in workers:
+            if worker.thread.is_alive():
+                worker.thread.join(timeout=1.0)
 
 
 def session_run(

@@ -7,46 +7,30 @@ Everything here is an immutable value. The only nontrivial operation is
 from __future__ import annotations
 
 import enum
-import hashlib
-from dataclasses import dataclass, field
-
-
-class MechanismFamily(enum.Enum):
-    """Threading style behind an asynchronous submission mechanism."""
-
-    NON_REUSABLE = "non-reusable"
-    LOOPER_HANDLER = "looper-handler"
-    POOL_BASED = "pool-based"
+from dataclasses import dataclass
 
 
 class Mechanism(enum.Enum):
-    """The six submission mechanisms the runtime instruments.
+    """The six submission mechanisms the runtime instruments; each value
+    is the mechanism's wire tag."""
 
-    The value tuple is (wire tag, family); the family is a pure function
-    of the mechanism.
-    """
-
-    NEW_THREAD = ("THREAD", MechanismFamily.NON_REUSABLE)
-    HANDLER_LOOPER = ("LOOPER", MechanismFamily.LOOPER_HANDLER)
-    ASYNC_QUERY = ("AQUERY", MechanismFamily.LOOPER_HANDLER)
-    POOL_EXECUTOR = ("POOL", MechanismFamily.POOL_BASED)
-    ASYNC_FACADE = ("AFACADE", MechanismFamily.POOL_BASED)
-    SERIAL_SERVICE = ("SERVICE", MechanismFamily.LOOPER_HANDLER)
+    NEW_THREAD = "THREAD"
+    HANDLER_LOOPER = "LOOPER"
+    ASYNC_QUERY = "AQUERY"
+    POOL_EXECUTOR = "POOL"
+    ASYNC_FACADE = "AFACADE"
+    SERIAL_SERVICE = "SERVICE"
 
     @property
     def wire_tag(self) -> str:
-        return self.value[0]
-
-    @property
-    def family(self) -> MechanismFamily:
-        return self.value[1]
+        return self.value
 
     @classmethod
     def from_wire_tag(cls, tag: str) -> "Mechanism":
-        for m in cls:
-            if m.wire_tag == tag:
-                return m
-        raise KeyError(tag)
+        try:
+            return cls(tag)
+        except ValueError:
+            raise KeyError(tag) from None
 
 
 class EventKind(enum.Enum):
@@ -76,29 +60,19 @@ class ThreadIdentity:
             raise ValueError("main thread cannot have a parent")
 
 
-def context_fingerprint(frames: tuple[str, ...]) -> int:
-    """Stable 64-bit digest of a normalized frame list."""
-    digest = hashlib.blake2b(
-        "\x1f".join(frames).encode("utf-8"), digest_size=8
-    ).digest()
-    return int.from_bytes(digest, "big")
-
-
 @dataclass(frozen=True)
 class ExecutionContext:
     """Call frames captured at schedule time, innermost first.
 
-    Each frame is a ``unit:symbol:line-or-0`` string. The fingerprint is
-    an index accelerator only; grouping always compares the full frame
-    list, so digest collisions cannot merge distinct contexts.
+    Each frame is a ``unit:symbol:line-or-0`` string; grouping compares
+    the full frame list.
     """
 
     frames: tuple[str, ...]
-    fingerprint: int = field(default=0)
 
     @classmethod
     def from_frames(cls, frames: tuple[str, ...]) -> "ExecutionContext":
-        return cls(frames=frames, fingerprint=context_fingerprint(frames))
+        return cls(frames=frames)
 
     def as_string(self) -> str:
         return ";".join(self.frames)

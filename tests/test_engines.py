@@ -1,0 +1,99 @@
+"""Differential tests: the virtual and the real engine run the same
+executor policies, so a workload gets the same task structure on either
+clock. Only timings may differ, within a tolerance."""
+
+import threading
+from collections import defaultdict
+
+import pytest
+
+from asyncscope.clock import RealMonotonicClock, VirtualClock
+from asyncscope.runtime import CancelOutcome, Task, session_run
+from asyncscope.scenarios import SCENARIOS, run_scenario
+from asyncscope.trace_model import EventKind, correlate, latency, queuing_time
+
+MS = 1_000_000
+# Real sleeps overshoot and threads start late on a busy machine.
+EARLY_NS = 10 * MS
+LATE_NS = 500 * MS
+SERIAL_PREFIXES = ("LOOPER", "AQUERY", "AFACADE", "SERVICE")
+# Each of these sleeps 25 s of real time.
+SLOW = {"blocking_execution", "no_cancel"}
+
+
+def _structure(trace):
+    records = {r.task_key: r for r in correlate(trace.events)}
+    labels = {ev.task_key: ev.detail for ev in trace.events
+              if ev.kind is EventKind.SCHEDULE}
+    per_queue = defaultdict(list)
+    for ev in trace.events:
+        if ev.kind is EventKind.START and ev.task_key.startswith(SERIAL_PREFIXES):
+            per_queue[ev.thread.thread_id].append(ev.task_key)
+    return {
+        "labels": labels,
+        "spawns": sum(ev.kind is EventKind.SPAWN for ev in trace.events),
+        "serial_start_order": sorted(per_queue.values()),
+        "cancelled": {k for k, r in records.items() if r.cancelled},
+    }, records
+
+
+def _assert_same_tasks(virtual_trace, real_trace):
+    want, v_records = _structure(virtual_trace)
+    got, r_records = _structure(real_trace)
+    assert got == want
+    for key, v in v_records.items():
+        r = r_records[key]
+        for metric in (queuing_time, latency):
+            if metric(v) is None:
+                assert metric(r) is None, (key, metric.__name__)
+            else:
+                assert metric(v) - EARLY_NS <= metric(r) <= metric(v) + LATE_NS, \
+                    (key, metric.__name__, metric(v), metric(r))
+
+
+@pytest.mark.parametrize("name", sorted(set(SCENARIOS) - SLOW))
+def test_scenario_same_tasks_on_both_engines(name):
+    virtual = run_scenario(name, clock=VirtualClock()).session
+    real = run_scenario(name, clock=RealMonotonicClock()).session
+    _assert_same_tasks(virtual, real)
+
+
+def test_cancelled_queued_task_frees_its_queue_slot():
+    gate = threading.Event()
+    outcomes = []
+
+    def workload(s):
+        pool = s.pool_executor(core_size=1, max_size=1, queue_bound=1)
+        pool.submit(Task("held", body=lambda token: gate.wait(5),
+                         synthetic_duration_ns=1 * MS))
+        queued = pool.submit(Task("queued", synthetic_duration_ns=1 * MS))
+        outcomes.append(s.cancel(queued))
+        try:
+            pool.submit(Task("after", synthetic_duration_ns=1 * MS))
+        finally:
+            gate.set()
+
+    virtual = session_run(workload, clock=VirtualClock())
+    gate.clear()
+    real = session_run(workload, clock=RealMonotonicClock(), drain_timeout_s=10)
+    assert outcomes == [CancelOutcome.REMOVED_FROM_QUEUE] * 2
+    _assert_same_tasks(virtual, real)
+
+
+def test_idle_worker_above_core_retires_on_both_engines():
+    def workload(s):
+        pool = s.pool_executor(core_size=1, max_size=2, keep_alive_ns=20 * MS)
+        for label in ("a", "b"):
+            pool.submit(Task(label, synthetic_duration_ns=10 * MS))
+
+        def later():
+            for label in ("c", "d"):
+                pool.submit(Task(label, synthetic_duration_ns=10 * MS))
+
+        s.call_at(150 * MS, later)
+
+    virtual = session_run(workload, clock=VirtualClock())
+    real = session_run(workload, clock=RealMonotonicClock(), drain_timeout_s=10)
+    # The second worker retires at 30 ms, so the later pair grows a third.
+    assert sum(ev.kind is EventKind.SPAWN for ev in virtual.events) == 3
+    _assert_same_tasks(virtual, real)

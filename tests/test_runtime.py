@@ -1,6 +1,9 @@
 """Behavioral tests for the instrumented runtime under the virtual clock,
 plus a few real-clock sanity checks."""
 
+import sys
+import threading
+
 import pytest
 
 from asyncscope.clock import RealMonotonicClock, VirtualClock
@@ -366,3 +369,59 @@ def test_real_clock_cancel_checking_task():
     assert outcomes == [CancelOutcome.SIGNALLED_RUNNING]
     assert rec.cancelled
     assert rec.end_ns < 5_000 * MS
+
+
+@pytest.mark.parametrize("emit_events", [False, True])
+def test_real_concurrent_submitters_draw_unique_keys(emit_events):
+    """Pools share the key prefix POOL, so their submitters share a counter."""
+    n_threads, per_thread = 8, 4000
+    session = ProfilerSession(clock=RealMonotonicClock(), emit_events=emit_events)
+    pools = [session.pool_executor(core_size=1, max_size=1) for _ in range(n_threads)]
+    keys = [[] for _ in range(n_threads)]
+    barrier = threading.Barrier(n_threads, timeout=10)
+    task = Task("t", body=lambda token: None)
+
+    def submitter(i):
+        barrier.wait()
+        keys[i].extend(pools[i].submit(task) for _ in range(per_thread))
+
+    threads = [threading.Thread(target=submitter, args=(i,)) for i in range(n_threads)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    trace = session.drain(timeout_s=60)
+    all_keys = [k for ks in keys for k in ks]
+    assert len(set(all_keys)) == len(all_keys) == n_threads * per_thread
+    assert len(correlate(trace.events)) == (len(all_keys) if emit_events else 0)
+
+
+@pytest.mark.parametrize("executor", ["pool", "serial"])
+def test_real_worker_survives_raising_body(executor, monkeypatch):
+    reported = []
+    monkeypatch.setattr(threading, "excepthook", reported.append)
+    hits = []
+
+    def boom(token):
+        raise TypeError("boom")
+
+    def workload(s):
+        if executor == "pool":
+            submit = s.pool_executor(core_size=1, max_size=1).submit
+        else:
+            submit = s.serial_executor().submit
+        submit(Task("boom", body=boom))
+        for _ in range(200):
+            submit(Task("ok", body=hits.append))
+
+    trace = session_run(workload, clock=RealMonotonicClock(), drain_timeout_s=5)
+    assert len(hits) == 200
+    records = _records(trace)
+    assert len(records) == 201 and all(r.end_ns is not None for r in records)
+    assert [type(args.exc_value) for args in reported] == [TypeError]

@@ -210,10 +210,9 @@ def test_thread_identity_validation():
         ThreadIdentity(-1)
 
 
-def test_context_fingerprint_tracks_frames():
+def test_context_equality_tracks_frames():
     a = ExecutionContext.from_frames(("m:f:1", "m:g:2"))
     b = ExecutionContext.from_frames(("m:f:1", "m:g:2"))
     c = ExecutionContext.from_frames(("m:f:1", "m:g:3"))
-    assert a == b and a.fingerprint == b.fingerprint
-    assert a.fingerprint != c.fingerprint
+    assert a == b and a != c
     assert a.as_string() == "m:f:1;m:g:2"

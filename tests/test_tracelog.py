@@ -106,6 +106,14 @@ def test_unknown_kind_positioned():
     assert exc_info.value.line_no == 3
 
 
+def test_unknown_mechanism_positioned():
+    data = encode_session(_session(_three_events()))
+    mutated = data.replace(b"|START|POOL|", b"|START|BOGUS|")
+    with pytest.raises(MalformedLine) as exc_info:
+        parse_trace(mutated)
+    assert exc_info.value.line_no == 3
+
+
 def test_file_round_trip(tmp_path):
     path = tmp_path / "trace.pdt"
     session = _session(_three_events(), session_id="disk", label="real run")
