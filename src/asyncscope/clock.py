@@ -1,8 +1,9 @@
 """Clock sources for profiling sessions.
 
 The virtual clock makes timing assertions exact: task bodies declare
-synthetic durations and the scheduler advances time explicitly, so
-repeated runs produce identical traces.
+synthetic durations and the session's scheduler alone advances time, so
+repeated runs produce identical traces. To act at a later virtual time,
+schedule the action with ``ProfilerSession.call_at``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ class RealMonotonicClock:
 
 
 class VirtualClock:
-    """Deterministic clock advanced explicitly, never by sleeping."""
+    """Deterministic clock advanced only by the session's scheduler,
+    never by sleeping."""
 
     mode = ClockMode.VIRTUAL
 
@@ -41,11 +43,6 @@ class VirtualClock:
 
     def now_ns(self) -> int:
         return self._now_ns
-
-    def advance(self, duration_ns: int) -> None:
-        if duration_ns < 0:
-            raise ValueError("cannot advance the clock backwards")
-        self._now_ns += duration_ns
 
     def _advance_to(self, t_ns: int) -> None:
         # Scheduler hook; time is non-decreasing by construction.

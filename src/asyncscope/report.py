@@ -175,7 +175,7 @@ def render_text(report: DiagnosisReport) -> bytes:
         for row in report.rows:
             s = row.stats
             lines.append(
-                f"{row.group_ref:<8} {row.mechanism.wire_tag:<8} "
+                f"{row.group_ref:<8} {row.mechanism.value:<8} "
                 f"{s.n_complete:<5} {s.n_incomplete:<4} {s.n_cancelled:<4} "
                 f"{row.suspiciousness:<9.3g} "
                 f"{_stats_cell(s.queuing):<29} {_stats_cell(s.latency)}"
@@ -220,7 +220,7 @@ def report_to_dict(report: DiagnosisReport) -> dict:
                 "group_ref": row.group_ref,
                 "config_index": row.config_index,
                 "context_index": row.context_index,
-                "mechanism": row.mechanism.wire_tag,
+                "mechanism": row.mechanism.value,
                 "n_complete": row.stats.n_complete,
                 "n_incomplete": row.stats.n_incomplete,
                 "n_cancelled": row.stats.n_cancelled,

@@ -6,6 +6,12 @@ Each threading style's policy is written once and runs on one of two
 engines. Under a virtual clock a single-threaded discrete-event
 scheduler drives execution, so traces are byte-identical across runs;
 under the real clock each worker is an actual thread.
+
+A session has one lock, which guards every executor's policy state,
+every task's status, the task-key counters and the outstanding-task
+count, and one event log, a list that every thread appends to. Drain
+copies the log once and sorts it stably by timestamp, so events at the
+same time keep the order in which they were emitted.
 """
 
 from __future__ import annotations
@@ -17,10 +23,11 @@ import queue
 import sys
 import threading
 import time
-from collections import deque
+from collections import defaultdict, deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
+from operator import itemgetter
 
 from .clock import ClockMode, ClockSource, VirtualClock
 from .trace_model import (
@@ -137,7 +144,7 @@ class _TaskState:
         self.task = task
         self.mechanism = mechanism
         self.requested_by = requested_by
-        self.owner = owner  # its lock guards status
+        self.owner = owner
         self.status = _Status.PENDING
         self.token = CancelToken()
         self.start_ns: int | None = None
@@ -207,17 +214,19 @@ class ProfilerSession:
         self.emit_events = emit_events
         self.drain_timeout_s = drain_timeout_s
         self._closed = False
-        self._seq = itertools.count().__next__
-        self._buffers: list[list] = []
-        self._buffer_lock = threading.Lock()
+        self._events: list[tuple] = []
         self._tls = threading.local()
         self._next_tid = itertools.count(1).__next__
-        self._key_counters: dict[str, itertools.count] = {}
-        self._tasks: dict[str, _TaskState] = {}
+        # Guards policy state, task status, key counters and _outstanding.
         # Counting under the lock itself skips Condition's Python-level
-        # __enter__/__exit__ on every submission and completion.
-        self._count_lock = threading.RLock()
-        self._quiesce = threading.Condition(self._count_lock)
+        # __enter__/__exit__ on every submission and completion. An RLock,
+        # because Condition() over a plain Lock raises and catches three
+        # AttributeErrors, a cost paid by every session.
+        self._lock = threading.RLock()
+        self._quiesce = threading.Condition(self._lock)
+        self._key_counters: defaultdict[str, itertools.count] = defaultdict(
+            partial(itertools.count, 1))
+        self._tasks: dict[str, _TaskState] = {}
         self._outstanding = 0
         self._services: dict[str, SerialQueueExecutor] = {}
         self._facade: AsyncFacade | None = None
@@ -268,21 +277,12 @@ class ProfilerSession:
 
     # -- event emission ----------------------------------------------------
 
-    def _buffer(self) -> list:
-        buf = getattr(self._tls, "buf", None)
-        if buf is None:
-            buf = []
-            with self._buffer_lock:
-                self._buffers.append(buf)
-            self._tls.buf = buf
-        return buf
-
     def _emit(self, kind, mechanism, task_key, thread, context, detail) -> None:
         if not self.emit_events:
             return
-        self._buffer().append(
-            (self.clock.now_ns(), self._seq(), kind, mechanism, task_key,
-             thread, context, detail)
+        self._events.append(
+            (self.clock.now_ns(), kind, mechanism, task_key, thread, context,
+             detail)
         )
 
     def _capture_context(self) -> tuple:
@@ -307,21 +307,17 @@ class ProfilerSession:
     def _register_task(self, task: Task, mechanism: Mechanism,
                        requester: ThreadIdentity | None,
                        key_prefix: str | None, owner: "_Executor") -> _TaskState:
+        """Key, record and announce a submitted task; called with the lock
+        held."""
         if self._closed:
             raise SessionClosed("session is closed")
         if requester is None:
             requester = self.current_thread()
-        prefix = key_prefix if key_prefix is not None else mechanism.wire_tag
-        # setdefault and next() are each atomic under the GIL, so
-        # concurrent submitters never draw the same key.
-        counter = self._key_counters.get(prefix)
-        if counter is None:
-            counter = self._key_counters.setdefault(prefix, itertools.count(1))
-        state = _TaskState(f"{prefix}#{next(counter)}", task, mechanism,
-                           requester, owner)
+        prefix = key_prefix if key_prefix is not None else mechanism.value
+        state = _TaskState(f"{prefix}#{next(self._key_counters[prefix])}",
+                           task, mechanism, requester, owner)
         self._tasks[state.key] = state
-        with self._count_lock:
-            self._outstanding += 1
+        self._outstanding += 1
         context = self._capture_context() if self.emit_events else None
         self._emit(EventKind.SCHEDULE, mechanism, state.key, requester,
                    context, task.label)
@@ -330,7 +326,7 @@ class ProfilerSession:
     def _begin(self, state: _TaskState, worker: "_Worker") -> bool:
         """Mark a task handed to ``worker`` running, unless it was
         cancelled while it waited."""
-        with state.owner._lock:
+        with self._lock:
             if state.status is not _Status.PENDING:
                 return False
             state.status = _Status.RUNNING
@@ -344,30 +340,31 @@ class ProfilerSession:
                 cancelled: bool) -> _TaskState | None:
         """End a running task, as cancelled or done, and return the task
         its worker runs next."""
-        owner = state.owner
-        with owner._lock:
-            state.status = _Status.CANCELLED if cancelled else _Status.DONE
-            upcoming = owner._next_task(worker)
-        if cancelled:
-            self._emit(EventKind.CANCEL, state.mechanism, state.key,
-                       worker.ident, None, "cancelled while running")
-        else:
-            self._emit(EventKind.END, state.mechanism, state.key, worker.ident,
-                       None, None)
-        self._task_finished()
-        return upcoming
+        with self._lock:
+            if cancelled:
+                self._settle(state, _Status.CANCELLED, EventKind.CANCEL,
+                             worker.ident, "cancelled while running")
+            else:
+                self._settle(state, _Status.DONE, EventKind.END, worker.ident,
+                             None)
+            return state.owner._next_task(worker)
 
     def _skip(self, state: _TaskState, worker: "_Worker") -> _TaskState | None:
         """The task a worker runs next when the one it was handed had been
         cancelled before it began."""
-        with state.owner._lock:
+        with self._lock:
             return state.owner._next_task(worker)
 
-    def _task_finished(self) -> None:
-        with self._count_lock:
-            self._outstanding -= 1
-            if self._outstanding == 0:
-                self._quiesce.notify_all()
+    def _settle(self, state: _TaskState, status: _Status, kind: EventKind,
+                thread: ThreadIdentity, detail: str | None) -> None:
+        """Give a task its terminal status and last event, and count it
+        done; called with the lock held, so the event is in the log before
+        wait_idle can see the count reach zero."""
+        state.status = status
+        self._emit(kind, state.mechanism, state.key, thread, None, detail)
+        self._outstanding -= 1
+        if self._outstanding == 0:
+            self._quiesce.notify_all()
 
     # -- submission APIs ---------------------------------------------------------
 
@@ -378,10 +375,11 @@ class ProfilerSession:
         if requester is None:
             requester = self.current_thread()
         executor = self._fresh_threads
-        worker = executor._new_worker(requester)
-        state = self._register_task(task, Mechanism.NEW_THREAD, requester,
-                                    None, executor)
-        self._engine.start(state, worker)
+        with self._lock:
+            worker = executor._new_worker(requester)
+            state = self._register_task(task, Mechanism.NEW_THREAD, requester,
+                                        None, executor)
+            self._engine.start(state, worker)
         return state.key
 
     def serial_executor(
@@ -424,11 +422,10 @@ class ProfilerSession:
     # -- cancellation -------------------------------------------------------------
 
     def cancel(self, task_key: str) -> CancelOutcome:
-        state = self._tasks.get(task_key)
-        if state is None:
-            raise UnknownTask(f"unknown task {task_key!r}")
-        executor = state.owner
-        with executor._lock:
+        with self._lock:
+            state = self._tasks.get(task_key)
+            if state is None:
+                raise UnknownTask(f"unknown task {task_key!r}")
             if state.status is _Status.RUNNING:
                 if not state.task.cancellation_check:
                     return CancelOutcome.NOT_CANCELLABLE
@@ -436,14 +433,12 @@ class ProfilerSession:
                 return CancelOutcome.SIGNALLED_RUNNING
             if state.status is not _Status.PENDING:
                 return CancelOutcome.TOO_LATE_FINISHED
-            state.status = _Status.CANCELLED
             try:
-                executor._pending.remove(state)
+                state.owner._pending.remove(state)
             except ValueError:
                 pass  # already handed to a worker, which will skip it
-            self._emit(EventKind.CANCEL, state.mechanism, state.key,
-                       self.current_thread(), None, "cancelled while queued")
-            self._task_finished()
+            self._settle(state, _Status.CANCELLED, EventKind.CANCEL,
+                         self.current_thread(), "cancelled while queued")
             return CancelOutcome.REMOVED_FROM_QUEUE
 
     # -- timed actions ------------------------------------------------------------
@@ -479,15 +474,16 @@ class ProfilerSession:
         return session
 
     def _assemble(self) -> TraceSession:
-        with self._buffer_lock:
-            raw = [entry for buf in self._buffers for entry in buf]
-        raw.sort(key=lambda e: (e[0], e[1]))
+        # One slice is a consistent copy even while real workers append;
+        # the stable sort keeps emission order among equal timestamps.
+        raw = self._events[:]
+        raw.sort(key=itemgetter(0))
         contexts: dict[tuple, ExecutionContext] = {}
 
         def materialize(triples) -> ExecutionContext:
             ctx = contexts.get(triples)
             if ctx is None:
-                ctx = ExecutionContext.from_frames(
+                ctx = ExecutionContext(
                     tuple(f"{m}:{s}:{line}" for m, s, line in triples)
                 )
                 contexts[triples] = ctx
@@ -500,7 +496,7 @@ class ProfilerSession:
                 context=materialize(context) if context is not None else None,
                 detail=detail,
             )
-            for ts, _, kind, mech, key, thread, context, detail in raw
+            for ts, kind, mech, key, thread, context, detail in raw
         )
         return TraceSession(
             session_id=self.session_id,
@@ -515,13 +511,13 @@ class ProfilerSession:
 
 class _Executor:
     """The fresh-thread policy: each task gets a new worker, which retires
-    after it. The lock and pending queue are what every policy shares;
-    the lock guards the policy's state and the status of its tasks."""
+    after it. The pending queue is what every policy shares; the policy's
+    state is guarded by the session's lock."""
 
     def __init__(self, session: ProfilerSession) -> None:
         self._session = session
         self._engine = session._engine
-        self._lock = threading.Lock()
+        self._lock = session._lock
         self._pending: deque[_TaskState] = deque()
 
     def _new_worker(self, parent: ThreadIdentity) -> _Worker:
@@ -662,7 +658,7 @@ class AsyncFacade:
                         requester: ThreadIdentity | None = None) -> str:
         if self._default_queue is None:
             self._default_queue = self._session.serial_executor(
-                Mechanism.ASYNC_FACADE, key_prefix=Mechanism.ASYNC_FACADE.wire_tag
+                Mechanism.ASYNC_FACADE, key_prefix=Mechanism.ASYNC_FACADE.value
             )
         return self._default_queue.submit(task, requester)
 
@@ -688,10 +684,10 @@ class _VirtualEngine:
         self._session = session
         self._clock = session.clock
         self._heap: list = []
-        self._seq = itertools.count().__next__
+        self._order = itertools.count().__next__  # FIFO among equal times
 
     def _post(self, t_ns: int, fn) -> None:
-        heapq.heappush(self._heap, (t_ns, self._seq(), fn))
+        heapq.heappush(self._heap, (t_ns, self._order(), fn))
 
     def start(self, state: _TaskState, worker: _Worker) -> None:
         self._post(self._clock.now_ns(), partial(self._run, state, worker))

@@ -21,17 +21,6 @@ class Mechanism(enum.Enum):
     ASYNC_FACADE = "AFACADE"
     SERIAL_SERVICE = "SERVICE"
 
-    @property
-    def wire_tag(self) -> str:
-        return self.value
-
-    @classmethod
-    def from_wire_tag(cls, tag: str) -> "Mechanism":
-        try:
-            return cls(tag)
-        except ValueError:
-            raise KeyError(tag) from None
-
 
 class EventKind(enum.Enum):
     SPAWN = "SPAWN"
@@ -69,10 +58,6 @@ class ExecutionContext:
     """
 
     frames: tuple[str, ...]
-
-    @classmethod
-    def from_frames(cls, frames: tuple[str, ...]) -> "ExecutionContext":
-        return cls(frames=frames)
 
     def as_string(self) -> str:
         return ";".join(self.frames)
@@ -154,10 +139,10 @@ def latency(record: TaskRecord) -> int | None:
 class _Open:
     __slots__ = (
         "context", "requested_by", "request_ns",
-        "executed_on", "start_ns", "end_ns", "cancelled", "closed", "order",
+        "executed_on", "start_ns", "end_ns", "cancelled", "closed",
     )
 
-    def __init__(self, ev: TaskEvent, order: int) -> None:
+    def __init__(self, ev: TaskEvent) -> None:
         self.context = ev.context
         self.requested_by = ev.thread
         self.request_ns = ev.timestamp_ns
@@ -166,7 +151,6 @@ class _Open:
         self.end_ns: int | None = None
         self.cancelled = False
         self.closed = False
-        self.order = order
 
 
 def correlate(events: list[TaskEvent] | tuple[TaskEvent, ...]) -> list[TaskRecord]:
@@ -177,7 +161,6 @@ def correlate(events: list[TaskEvent] | tuple[TaskEvent, ...]) -> list[TaskRecor
     request time with submission order as the stable tie-break.
     """
     states: dict[tuple[Mechanism | None, str], _Open] = {}
-    order = 0
     for ev in events:
         if ev.kind is EventKind.SPAWN:
             continue
@@ -187,8 +170,7 @@ def correlate(events: list[TaskEvent] | tuple[TaskEvent, ...]) -> list[TaskRecor
                 raise DuplicateSchedule(f"task {ev.task_key!r} scheduled twice")
             if ev.context is None:
                 raise CorrelationError(f"Schedule for {ev.task_key!r} has no context")
-            states[key] = _Open(ev, order)
-            order += 1
+            states[key] = _Open(ev)
             continue
         st = states.get(key)
         if st is None:
@@ -231,6 +213,7 @@ def correlate(events: list[TaskEvent] | tuple[TaskEvent, ...]) -> list[TaskRecor
             end_ns=st.end_ns,
             cancelled=st.cancelled,
         )
-        for k, st in sorted(states.items(), key=lambda kv: (kv[1].request_ns, kv[1].order))
+        # states keeps Schedule order and sorted is stable: that is the tie-break.
+        for k, st in sorted(states.items(), key=lambda kv: kv[1].request_ns)
     ]
     return records

@@ -94,7 +94,7 @@ def encode_event(event: TaskEvent, seq: int) -> str:
             str(seq),
             str(event.timestamp_ns),
             event.kind.value,
-            event.mechanism.wire_tag if event.mechanism is not None else "_",
+            event.mechanism.value if event.mechanism is not None else "_",
             _opt(event.task_key),
             str(thread.thread_id),
             "_" if thread.parent_thread_id is None else str(thread.parent_thread_id),
@@ -150,8 +150,8 @@ def _parse_event_line(fields: list[str], line_no: int) -> tuple[int, TaskEvent]:
         mechanism = None
     else:
         try:
-            mechanism = Mechanism.from_wire_tag(fields[5])
-        except KeyError:
+            mechanism = Mechanism(fields[5])
+        except ValueError:
             raise MalformedLine(f"unknown mechanism {fields[5]!r}", line_no) from None
     task_key = None if fields[6] == "_" else _unescape(fields[6], line_no)
 
@@ -178,7 +178,7 @@ def _parse_event_line(fields: list[str], line_no: int) -> tuple[int, TaskEvent]:
         frames = tuple(
             _unescape(frame, line_no) for frame in fields[10].split(";")
         )
-        context = ExecutionContext.from_frames(frames)
+        context = ExecutionContext(frames)
     if kind is EventKind.SCHEDULE and context is None:
         raise MalformedLine("Schedule requires a context", line_no)
     if kind is not EventKind.SCHEDULE and context is not None:

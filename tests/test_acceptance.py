@@ -45,7 +45,7 @@ from asyncscope.trace_model import (
 DATA = pathlib.Path(__file__).parent / "data"
 MS = 1_000_000
 MAIN = ThreadIdentity(1, None, True)
-CTX = ExecutionContext.from_frames(("app:click:7",))
+CTX = ExecutionContext(("app:click:7",))
 
 
 def _verdict(capsys, number, ok, detail):
@@ -284,7 +284,7 @@ def _random_session(rng):
             continue
         ctx = None
         if kind is EventKind.SCHEDULE:
-            ctx = ExecutionContext.from_frames(
+            ctx = ExecutionContext(
                 tuple(text() for _ in range(rng.randrange(1, 4))))
         events.append(TaskEvent(
             t, kind, rng.choice(list(Mechanism)), text(), thread, ctx,

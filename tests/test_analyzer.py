@@ -34,7 +34,7 @@ from asyncscope.trace_model import (
 
 MS = 1_000_000
 MAIN = ThreadIdentity(1, None, True)
-CTX = ExecutionContext.from_frames(("app:refresh:42",))
+CTX = ExecutionContext(("app:refresh:42",))
 
 
 def _spawn(thread):
@@ -150,7 +150,7 @@ def test_same_frames_one_group():
 
 
 def test_one_frame_difference_two_groups():
-    other = ExecutionContext.from_frames(("app:refresh:43",))
+    other = ExecutionContext(("app:refresh:43",))
     groups = group_by_context([_record(key="a"), _record(key="b", ctx=other)])
     assert len(groups) == 2
 
@@ -159,7 +159,7 @@ def test_one_frame_difference_two_groups():
 def test_grouping_matches_equivalence_classes(seed):
     rng = random.Random(seed)
     contexts = [
-        ExecutionContext.from_frames((f"m:f{rng.randrange(4)}:1", f"m:g{rng.randrange(3)}:2"))
+        ExecutionContext((f"m:f{rng.randrange(4)}:1", f"m:g{rng.randrange(3)}:2"))
         for _ in range(40)
     ]
     records = [

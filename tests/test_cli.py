@@ -36,6 +36,18 @@ def test_demo_unknown_scenario(capsys):
     assert "no scenario named" in capsys.readouterr().err
 
 
+def test_demo_bad_clock_env(monkeypatch, capsys):
+    monkeypatch.setenv("ASYNCSCOPE_CLOCK", "bogus")
+    assert main(["demo", "sequential_execute"]) == EXIT_DATA
+    assert "ASYNCSCOPE_CLOCK" in capsys.readouterr().err
+
+
+def test_demo_real_clock_env(monkeypatch, capsys):
+    monkeypatch.setenv("ASYNCSCOPE_CLOCK", "real")
+    assert main(["demo", "sequential_execute"]) == EXIT_OK
+    assert "scenario sequential_execute (real clock)" in capsys.readouterr().out
+
+
 def test_demo_expectation_mismatch(tmp_path, capsys):
     # Thresholds so forgiving that the defect scenario fires nothing.
     cfg = tmp_path / "lax.cfg"

@@ -1,8 +1,10 @@
 """Behavioral tests for the instrumented runtime under the virtual clock,
 plus a few real-clock sanity checks."""
 
+import random
 import sys
 import threading
+import time
 
 import pytest
 
@@ -425,3 +427,74 @@ def test_real_worker_survives_raising_body(executor, monkeypatch):
     records = _records(trace)
     assert len(records) == 201 and all(r.end_ns is not None for r in records)
     assert [type(args.exc_value) for args in reported] == [TypeError]
+
+
+def test_real_cancel_race_outcomes_match_records():
+    """A second thread cancels every key of a 2-worker pool, in random
+    order, while the workers run the tasks."""
+    n_tasks = 2000
+    session = ProfilerSession(clock=RealMonotonicClock())
+    pool = session.pool_executor(core_size=2, max_size=2)
+    go = threading.Event()
+    gate = Task("gate", body=lambda token: go.wait(timeout=10))
+    keys = [pool.submit(gate) for _ in range(2)]
+    # sleep(0) yields the interpreter lock, so cancels land between tasks.
+    task = Task("t", body=lambda token: time.sleep(0))
+    keys += [pool.submit(task) for _ in range(n_tasks - 2)]
+    order = keys[:]
+    random.Random(7).shuffle(order)
+    outcomes = {}
+
+    def canceller():
+        go.set()
+        for key in order:
+            outcomes[key] = session.cancel(key)
+
+    thread = threading.Thread(target=canceller)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        thread.start()
+        thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not thread.is_alive()
+    records = {r.task_key: r for r in correlate(session.drain(timeout_s=60).events)}
+    assert sorted(records) == sorted(outcomes) == sorted(keys)
+    assert {CancelOutcome.REMOVED_FROM_QUEUE,
+            CancelOutcome.TOO_LATE_FINISHED} <= set(outcomes.values())
+    for key, outcome in outcomes.items():
+        rec = records[key]
+        if outcome is CancelOutcome.REMOVED_FROM_QUEUE:
+            assert rec.cancelled and rec.start_ns is None, key
+        else:
+            assert outcome in (CancelOutcome.TOO_LATE_FINISHED,
+                               CancelOutcome.NOT_CANCELLABLE), (key, outcome)
+            assert not rec.cancelled and rec.end_ns is not None, key
+
+
+def test_real_drain_timeout_carries_partial_session():
+    started = threading.Event()
+    stuck_threads = []
+
+    def stuck(token):
+        stuck_threads.append(threading.current_thread())
+        started.set()
+        while not token.is_cancelled():
+            time.sleep(0.001)
+
+    session = ProfilerSession(clock=RealMonotonicClock())
+    pool = session.pool_executor(core_size=2, max_size=2)
+    stuck_key = pool.submit(Task("stuck", body=stuck, cancellation_check=True))
+    task = Task("t", body=lambda token: None)
+    keys = [pool.submit(task) for _ in range(1000)]
+    assert started.wait(timeout=10)
+    with pytest.raises(DrainTimeout) as exc_info:
+        session.drain(timeout_s=0.05)
+    records = {r.task_key: r for r in correlate(exc_info.value.session.events)}
+    assert sorted(records) == sorted([stuck_key, *keys])
+    assert records[stuck_key].start_ns is not None
+    assert records[stuck_key].end_ns is None
+    assert session.cancel(stuck_key) is CancelOutcome.SIGNALLED_RUNNING
+    stuck_threads[0].join(timeout=10)
+    assert not stuck_threads[0].is_alive()

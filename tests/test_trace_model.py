@@ -23,7 +23,7 @@ from asyncscope.trace_model import (
 
 MAIN = ThreadIdentity(1, None, True)
 WORKER = ThreadIdentity(2, 1, False)
-CTX = ExecutionContext.from_frames(("app:main:10",))
+CTX = ExecutionContext(("app:main:10",))
 
 
 def _sched(key, t, mech=Mechanism.POOL_EXECUTOR, thread=MAIN, ctx=CTX):
@@ -211,8 +211,8 @@ def test_thread_identity_validation():
 
 
 def test_context_equality_tracks_frames():
-    a = ExecutionContext.from_frames(("m:f:1", "m:g:2"))
-    b = ExecutionContext.from_frames(("m:f:1", "m:g:2"))
-    c = ExecutionContext.from_frames(("m:f:1", "m:g:3"))
+    a = ExecutionContext(("m:f:1", "m:g:2"))
+    b = ExecutionContext(("m:f:1", "m:g:2"))
+    c = ExecutionContext(("m:f:1", "m:g:3"))
     assert a == b and a != c
     assert a.as_string() == "m:f:1;m:g:2"

@@ -39,7 +39,7 @@ def test_exact_schedule_line():
         mechanism=Mechanism.ASYNC_FACADE,
         task_key="AFACADE#1",
         thread=MAIN,
-        context=ExecutionContext.from_frames(("a:b:1",)),
+        context=ExecutionContext(("a:b:1",)),
         detail=None,
     )
     assert encode_event(event, 1) == "PD1|EV|1|100|SCHED|AFACADE|AFACADE#1|1|_|1|a:b:1|_"
@@ -90,7 +90,7 @@ def test_non_monotonic_seq_positioned():
 def _three_events():
     return [
         TaskEvent(0, EventKind.SCHEDULE, Mechanism.POOL_EXECUTOR, "POOL#1",
-                  MAIN, ExecutionContext.from_frames(("m:f:1",)), "t"),
+                  MAIN, ExecutionContext(("m:f:1",)), "t"),
         TaskEvent(1, EventKind.START, Mechanism.POOL_EXECUTOR, "POOL#1",
                   ThreadIdentity(2, 1, False)),
         TaskEvent(2, EventKind.END, Mechanism.POOL_EXECUTOR, "POOL#1",
@@ -154,7 +154,7 @@ def _sessions(draw):
         if kind is EventKind.SCHEDULE:
             frames = tuple(draw(st.lists(st.one_of(_frame, _hostile),
                                          min_size=1, max_size=4)))
-            context = ExecutionContext.from_frames(frames)
+            context = ExecutionContext(frames)
         events.append(TaskEvent(t, kind, mech, key, thread, context,
                                 draw(_detail)))
     return _session(
