@@ -216,6 +216,14 @@ def compute_stats(group: list[TaskRecord]) -> GroupStats:
     Incomplete records (no end time, including cancelled-while-queued
     tasks) are counted but contribute to no duration statistic.
     """
+    return stats_and_durations(group)[0]
+
+
+def stats_and_durations(
+    group: list[TaskRecord],
+) -> tuple[GroupStats, list[int], list[int]]:
+    """``compute_stats`` plus the queuing times and latencies it was
+    computed from, one each per complete record in group order."""
     if not group:
         raise ValueError("group must be non-empty")
     queuing_values = []
@@ -230,7 +238,7 @@ def compute_stats(group: list[TaskRecord]) -> GroupStats:
         n_complete += 1
         queuing_values.append(queuing_time(record))
         latency_values.append(latency(record))
-    return GroupStats(
+    stats = GroupStats(
         context=group[0].context,
         mechanism=group[0].mechanism,
         n_complete=n_complete,
@@ -239,6 +247,7 @@ def compute_stats(group: list[TaskRecord]) -> GroupStats:
         queuing=_metric_stats(queuing_values) if queuing_values else None,
         latency=_metric_stats(latency_values) if latency_values else None,
     )
+    return stats, queuing_values, latency_values
 
 
 def _ratio_warnings(stats: GroupStats, metric: Metric, ms: MetricStats,

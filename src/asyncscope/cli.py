@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 
 from .analyzer import HeuristicConfig
 from .clock import RealMonotonicClock, VirtualClock
@@ -55,6 +56,8 @@ def _build_parser() -> _Parser:
     analyze.add_argument("--histograms", metavar="DIR",
                          help="write per-group histogram CSVs into DIR")
     analyze.add_argument("--out", help="write the report here instead of stdout")
+    analyze.add_argument("--timings", action="store_true",
+                         help="print each stage's wall time and counts to stderr")
 
     lister = sub.add_parser("list", help="list registered scenarios")
     lister.error = parser.error  # type: ignore[method-assign]
@@ -112,8 +115,23 @@ def _cmd_demo(args) -> int:
     return EXIT_OK if result.passed else EXIT_EXPECTATION
 
 
+class _StageTimer:
+    """Prints one stderr line per analysis stage: its wall time since the
+    previous stage ended, and its counts."""
+
+    def __init__(self) -> None:
+        self._mark = time.perf_counter()
+
+    def lap(self, stage: str, **counts) -> None:
+        ms = (time.perf_counter() - self._mark) * 1e3
+        tail = "".join(f" {name}={value}" for name, value in counts.items())
+        print(f"asyncscope: timing {stage:<10} {ms:10.3f} ms{tail}", file=sys.stderr)
+        self._mark = time.perf_counter()
+
+
 def _cmd_analyze(args) -> int:
     cfg = _load_config(args.config)
+    timer = _StageTimer() if args.timings else None
     sessions = []
     for path in args.traces:
         try:
@@ -122,11 +140,21 @@ def _cmd_analyze(args) -> int:
             raise _DataError(f"cannot read {path}: {exc.strerror}") from exc
         except TraceLogError as exc:
             raise _DataError(f"{path}: {exc}") from exc
+    if timer is not None:
+        timer.lap("read+parse", files=len(sessions),
+                  events=sum(len(s.events) for s in sessions))
     report = build_report(sessions, cfg=cfg)
+    if timer is not None:
+        timer.lap("build", rows=len(report.rows))
+    render = render_json if args.format == "json" else render_text
+    payload = render(report)
+    if timer is not None:
+        timer.lap("render", bytes=len(payload))
     if args.histograms is not None:
         write_histogram_csvs(report, args.histograms)
-    render = render_json if args.format == "json" else render_text
-    _emit(render(report), args.out)
+    _emit(payload, args.out)
+    if timer is not None:
+        timer.lap("write")
     return EXIT_OK
 
 

@@ -8,8 +8,9 @@ machine-readable twin (raw nanoseconds).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 from .analyzer import (
     GroupStats,
@@ -18,19 +19,18 @@ from .analyzer import (
     MetricStats,
     Warning,
     build_lineage,
-    compute_stats,
     detect_anomalies,
     filter_ui_triggered,
     group_by_context,
+    stats_and_durations,
     suspiciousness,
 )
-from .trace_model import Mechanism, TraceSession, correlate, latency, queuing_time
+from .trace_model import Mechanism, TraceSession, correlate
 
 DEFAULT_BINS = 20
 
 
-@dataclass(frozen=True)
-class HistogramBin:
+class HistogramBin(NamedTuple):
     lower_ns: float
     upper_ns: float
     count: int
@@ -64,17 +64,17 @@ def histogram(values: list[int], bins: int) -> list[HistogramBin]:
         raise ValueError("bins must be positive")
     lo, hi = min(values), max(values)
     width = (hi - lo) / bins
+    last = bins - 1
     counts = [0] * bins
-    for v in values:
-        if width == 0:
-            idx = bins - 1
-        else:
-            idx = min(int((v - lo) / width), bins - 1)
-        counts[idx] += 1
-    out = []
-    for i in range(bins):
-        upper = float(hi) if i == bins - 1 else lo + (i + 1) * width
-        out.append(HistogramBin(lower_ns=lo + i * width, upper_ns=upper, count=counts[i]))
+    if width == 0:
+        counts[last] = len(values)
+    else:
+        for v in values:
+            idx = int((v - lo) / width)
+            counts[idx if idx < last else last] += 1
+    make = HistogramBin._make
+    out = [make((lo + i * width, lo + (i + 1) * width, counts[i])) for i in range(last)]
+    out.append(make((lo + last * width, float(hi), counts[last])))
     return out
 
 
@@ -103,7 +103,7 @@ def build_report(
                 context_index[context.frames] = len(contexts)
                 contexts.append(context.frames)
             ctx_i = context_index[context.frames]
-            stats = compute_stats(group)
+            stats, queuing_values, latency_values = stats_and_durations(group)
             warnings = tuple(detect_anomalies(stats, cfg))
             ref = f"{config_i}-{ctx_i}"
             rows.append(ReportRow(
@@ -115,8 +115,6 @@ def build_report(
                 warnings=warnings,
                 suspiciousness=suspiciousness(list(warnings)),
             ))
-            queuing_values = [queuing_time(r) for r in group if r.end_ns is not None]
-            latency_values = [latency(r) for r in group if r.end_ns is not None]
             if queuing_values:
                 histograms.append(
                     (ref, Metric.QUEUING.value, tuple(histogram(queuing_values, bins)))
@@ -251,10 +249,97 @@ def report_to_dict(report: DiagnosisReport) -> dict:
     }
 
 
+_INF = float("inf")
+
+
+def _float_json(value: float) -> str:
+    # As json writes floats: repr, and JavaScript's names for the rest.
+    if value != value:
+        return "NaN"
+    if value == _INF:
+        return "Infinity"
+    if value == -_INF:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+# How json writes each scalar type that report_to_dict builds.
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_json,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
+def _write_json(obj, out: list[str], indent: str) -> None:
+    """Append to ``out`` the text ``json.dumps(obj, indent=2,
+    sort_keys=True)`` gives for ``obj``, a document of the types that
+    ``report_to_dict`` builds: dicts with str keys, lists, and the
+    scalars in ``_SCALARS``. ``indent`` is the newline and spaces that
+    start ``obj``'s own line.
+
+    ``json`` drops to its pure-Python encoder whenever ``indent`` is set;
+    this writer makes the same choices with fewer calls per value.
+    """
+    scalar = _SCALARS.get(type(obj))
+    if scalar is not None:
+        out.append(scalar(obj))
+    elif type(obj) is list:
+        if not obj:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        cell = inner + "  "
+        comma = "," + inner
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            sep = comma
+            if type(item) is list and len(item) == 3:
+                # A histogram bin, if [float, float, int] with finite floats,
+                # whose entries repr writes as json does. Bins hold most of a
+                # report's values, so each is written from one template.
+                lower, upper, count = item
+                if (type(lower) is float and type(upper) is float
+                        and type(count) is int
+                        and lower - lower == 0.0 and upper - upper == 0.0):
+                    out.append(f"[{cell}{lower!r},{cell}{upper!r},{cell}{count!r}{inner}]")
+                    continue
+            scalar = _SCALARS.get(type(item))
+            if scalar is not None:
+                out.append(scalar(item))
+            else:
+                _write_json(item, out, inner)
+        out.append(indent + "]")
+    elif type(obj) is dict:
+        if not obj:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        comma = "," + inner
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            scalar = _SCALARS.get(type(value))
+            if scalar is not None:
+                out.append(f"{sep}{encode_basestring_ascii(key)}: {scalar(value)}")
+            else:
+                out.append(f"{sep}{encode_basestring_ascii(key)}: ")
+                _write_json(value, out, inner)
+            sep = comma
+        out.append(indent + "}")
+    else:
+        raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def render_json(report: DiagnosisReport) -> bytes:
-    return (
-        json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
-    ).encode("utf-8")
+    """``json.dumps(report_to_dict(report), indent=2, sort_keys=True)``
+    and a newline, byte for byte."""
+    out: list[str] = []
+    _write_json(report_to_dict(report), out, "\n")
+    out.append("\n")
+    return "".join(out).encode("utf-8")
 
 
 def write_histogram_csvs(report: DiagnosisReport, directory) -> list[str]:

@@ -42,6 +42,7 @@ from .trace_model import (
 DEFAULT_CAPTURE_DEPTH = 32
 DEFAULT_CHECK_INTERVAL_NS = 1_000_000  # 1 virtual ms
 DEFAULT_KEEP_ALIVE_NS = 10_000_000  # 10 virtual ms
+_STOP_JOIN_S = 1.0  # how long drain waits, in all, for idle workers to end
 
 # Modules whose frames are instrumentation plumbing, not user context.
 _INTERNAL_MODULES = ("asyncscope.runtime", "asyncscope.clock")
@@ -465,7 +466,7 @@ class ProfilerSession:
             timeout_s if timeout_s is not None else self.drain_timeout_s
         )
         self._closed = True
-        self._engine.stop()
+        self._engine.stop(quiesced)
         session = self._assemble()
         if not quiesced:
             raise DrainTimeout(
@@ -489,13 +490,11 @@ class ProfilerSession:
                 contexts[triples] = ctx
             return ctx
 
+        make = TaskEvent._make
         events = tuple(
-            TaskEvent(
-                timestamp_ns=ts, kind=kind, mechanism=mech, task_key=key,
-                thread=thread,
-                context=materialize(context) if context is not None else None,
-                detail=detail,
-            )
+            make((ts, kind, mech, key, thread,
+                  materialize(context) if context is not None else None,
+                  detail))
             for ts, kind, mech, key, thread, context, detail in raw
         )
         return TraceSession(
@@ -746,7 +745,7 @@ class _VirtualEngine:
             fn()
         return self._session._outstanding == 0
 
-    def stop(self) -> None:
+    def stop(self, quiesced: bool) -> None:
         pass
 
 
@@ -832,14 +831,26 @@ class _ThreadEngine:
             return session._quiesce.wait_for(
                 lambda: session._outstanding == 0, remaining())
 
-    def stop(self) -> None:
-        """End every worker thread once it has no task left."""
+    def stop(self, quiesced: bool) -> None:
+        """End every worker thread once it has no task left.
+
+        Idle workers are joined against one shared deadline. After a drain
+        that timed out, a worker still running a task gets its sentinel
+        but is not waited for: it ends when its task does.
+        """
+        session = self._session
+        busy = set()
+        if not quiesced:
+            with session._lock:
+                busy = {state.worker for state in session._tasks.values()
+                        if state.status is _Status.RUNNING}
         workers = list(self._live)
         for worker in workers:
             worker.mailbox.put(None)
+        deadline = time.monotonic() + _STOP_JOIN_S
         for worker in workers:
-            if worker.thread.is_alive():
-                worker.thread.join(timeout=1.0)
+            if worker not in busy:
+                worker.thread.join(max(0.0, deadline - time.monotonic()))
 
 
 def session_run(

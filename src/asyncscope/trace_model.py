@@ -1,13 +1,18 @@
 """Event/record vocabulary shared by the runtime, codec, and analyzer.
 
-Everything here is an immutable value. The only nontrivial operation is
-``correlate``, which folds an ordered event stream into per-task records.
+Everything here is an immutable value. ``TaskEvent`` and ``TaskRecord``
+are named tuples, because traces hold one per event and per task and a
+tuple is built in half the time of a frozen dataclass. The only
+nontrivial operation is ``correlate``, which folds an ordered event
+stream into per-task records.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import NamedTuple
 
 
 class Mechanism(enum.Enum):
@@ -63,8 +68,7 @@ class ExecutionContext:
         return ";".join(self.frames)
 
 
-@dataclass(frozen=True)
-class TaskEvent:
+class TaskEvent(NamedTuple):
     """One timestamped lifecycle event for a task on a thread.
 
     ``timestamp_ns`` is monotonic nanoseconds since session start.
@@ -81,8 +85,7 @@ class TaskEvent:
     detail: str | None = None
 
 
-@dataclass(frozen=True)
-class TaskRecord:
+class TaskRecord(NamedTuple):
     """A correlated task: request, start, and end times plus identity."""
 
     task_key: str
@@ -138,11 +141,13 @@ def latency(record: TaskRecord) -> int | None:
 
 class _Open:
     __slots__ = (
-        "context", "requested_by", "request_ns",
+        "mechanism", "task_key", "context", "requested_by", "request_ns",
         "executed_on", "start_ns", "end_ns", "cancelled", "closed",
     )
 
     def __init__(self, ev: TaskEvent) -> None:
+        self.mechanism = ev.mechanism
+        self.task_key = ev.task_key
         self.context = ev.context
         self.requested_by = ev.thread
         self.request_ns = ev.timestamp_ns
@@ -160,12 +165,17 @@ def correlate(events: list[TaskEvent] | tuple[TaskEvent, ...]) -> list[TaskRecor
     events; nothing is silently dropped. Records come back sorted by
     request time with submission order as the stable tie-break.
     """
-    states: dict[tuple[Mechanism | None, str], _Open] = {}
+    SPAWN, SCHEDULE, START, END = (
+        EventKind.SPAWN, EventKind.SCHEDULE, EventKind.START, EventKind.END)
+    # Tasks are keyed by (task_key, mechanism). Members are singletons, so
+    # id() stands in for the mechanism: Enum.__hash__ is a Python-level call.
+    states: dict[tuple[str | None, int], _Open] = {}
     for ev in events:
-        if ev.kind is EventKind.SPAWN:
+        kind = ev.kind
+        if kind is SPAWN:
             continue
-        key = (ev.mechanism, ev.task_key)
-        if ev.kind is EventKind.SCHEDULE:
+        key = (ev.task_key, id(ev.mechanism))
+        if kind is SCHEDULE:
             if key in states:
                 raise DuplicateSchedule(f"task {ev.task_key!r} scheduled twice")
             if ev.context is None:
@@ -174,15 +184,15 @@ def correlate(events: list[TaskEvent] | tuple[TaskEvent, ...]) -> list[TaskRecor
             continue
         st = states.get(key)
         if st is None:
-            raise DanglingEvent(f"{ev.kind.name} for unknown task {ev.task_key!r}")
-        if ev.kind is EventKind.START:
+            raise DanglingEvent(f"{kind.name} for unknown task {ev.task_key!r}")
+        if kind is START:
             if st.closed or st.start_ns is not None:
                 raise OrderViolation(f"unexpected Start for {ev.task_key!r}")
             if ev.timestamp_ns < st.request_ns:
                 raise OrderViolation(f"Start precedes Schedule for {ev.task_key!r}")
             st.start_ns = ev.timestamp_ns
             st.executed_on = ev.thread
-        elif ev.kind is EventKind.END:
+        elif kind is END:
             if st.closed:
                 raise OrderViolation(f"End after close for {ev.task_key!r}")
             if st.start_ns is None:
@@ -191,7 +201,7 @@ def correlate(events: list[TaskEvent] | tuple[TaskEvent, ...]) -> list[TaskRecor
                 raise OrderViolation(f"End precedes Start for {ev.task_key!r}")
             st.end_ns = ev.timestamp_ns
             st.closed = True
-        elif ev.kind is EventKind.CANCEL:
+        elif kind is EventKind.CANCEL:
             if st.closed:
                 raise OrderViolation(f"Cancel after close for {ev.task_key!r}")
             st.cancelled = True
@@ -201,19 +211,11 @@ def correlate(events: list[TaskEvent] | tuple[TaskEvent, ...]) -> list[TaskRecor
                 # A running task closed by cancellation: its running time counts.
                 st.end_ns = ev.timestamp_ns
             st.closed = True
-    records = [
-        TaskRecord(
-            task_key=k[1],
-            mechanism=k[0],  # type: ignore[arg-type]
-            context=st.context,  # type: ignore[arg-type]
-            requested_by=st.requested_by,
-            request_ns=st.request_ns,
-            executed_on=st.executed_on,
-            start_ns=st.start_ns,
-            end_ns=st.end_ns,
-            cancelled=st.cancelled,
-        )
-        # states keeps Schedule order and sorted is stable: that is the tie-break.
-        for k, st in sorted(states.items(), key=lambda kv: kv[1].request_ns)
+    make = TaskRecord._make
+    # states keeps Schedule order and sorted is stable: that is the tie-break.
+    return [
+        make((st.task_key, st.mechanism, st.context, st.requested_by,
+              st.request_ns, st.executed_on, st.start_ns, st.end_ns,
+              st.cancelled))
+        for st in sorted(states.values(), key=attrgetter("request_ns"))
     ]
-    return records

@@ -134,66 +134,91 @@ def _parse_int(text: str, what: str, line_no: int, minimum: int = 0) -> int:
     return value
 
 
-def _parse_event_line(fields: list[str], line_no: int) -> tuple[int, TaskEvent]:
-    if len(fields) != _EVENT_FIELDS:
-        raise MalformedLine(
-            f"expected {_EVENT_FIELDS} fields, got {len(fields)}", line_no
-        )
-    seq = _parse_int(fields[2], "seq", line_no, minimum=1)
-    timestamp_ns = _parse_int(fields[3], "timestamp", line_no)
+_KINDS = {kind.value: kind for kind in EventKind}
+_MECHANISMS = {mech.value: mech for mech in Mechanism}
+_MECHANISMS["_"] = None
+
+
+def _decode_thread(tid: str, ptid: str, is_main: str, line_no: int) -> ThreadIdentity:
+    thread_id = _parse_int(tid, "thread_id", line_no)
+    parent = None if ptid == "_" else _parse_int(ptid, "parent_thread_id", line_no)
+    if is_main not in ("0", "1"):
+        raise MalformedLine(f"is_main must be 0 or 1, got {is_main!r}", line_no)
     try:
-        kind = EventKind(fields[4])
-    except ValueError:
-        raise UnknownKind(f"unknown event kind {fields[4]!r}", line_no) from None
-
-    if fields[5] == "_":
-        mechanism = None
-    else:
-        try:
-            mechanism = Mechanism(fields[5])
-        except ValueError:
-            raise MalformedLine(f"unknown mechanism {fields[5]!r}", line_no) from None
-    task_key = None if fields[6] == "_" else _unescape(fields[6], line_no)
-
-    if kind is EventKind.SPAWN:
-        if mechanism is not None or task_key is not None:
-            raise MalformedLine("Spawn must not carry mechanism/task_key", line_no)
-    else:
-        if mechanism is None or task_key is None:
-            raise MalformedLine(f"{kind.value} requires mechanism and task_key", line_no)
-
-    thread_id = _parse_int(fields[7], "thread_id", line_no)
-    parent = None if fields[8] == "_" else _parse_int(fields[8], "parent_thread_id", line_no)
-    if fields[9] not in ("0", "1"):
-        raise MalformedLine(f"is_main must be 0 or 1, got {fields[9]!r}", line_no)
-    is_main = fields[9] == "1"
-    try:
-        thread = ThreadIdentity(thread_id, parent, is_main)
+        return ThreadIdentity(thread_id, parent, is_main == "1")
     except ValueError as exc:
         raise MalformedLine(str(exc), line_no) from None
 
-    if fields[10] == "_":
-        context = None
-    else:
-        frames = tuple(
-            _unescape(frame, line_no) for frame in fields[10].split(";")
-        )
-        context = ExecutionContext(frames)
-    if kind is EventKind.SCHEDULE and context is None:
-        raise MalformedLine("Schedule requires a context", line_no)
-    if kind is not EventKind.SCHEDULE and context is not None:
-        raise MalformedLine(f"{kind.value} must not carry a context", line_no)
 
-    detail = None if fields[11] == "_" else _unescape(fields[11], line_no)
-    return seq, TaskEvent(
-        timestamp_ns=timestamp_ns,
-        kind=kind,
-        mechanism=mechanism,
-        task_key=task_key,
-        thread=thread,
-        context=context,
-        detail=detail,
+def _decode_context(text: str, line_no: int) -> ExecutionContext | None:
+    if text == "_":
+        return None
+    return ExecutionContext(
+        tuple(_unescape(frame, line_no) for frame in text.split(";"))
     )
+
+
+def _parse_events(lines: list[str]) -> list[TaskEvent]:
+    """Decode the event lines that follow the header (line 2 onwards).
+
+    Thread and context fields repeat across a trace, so each distinct text
+    is decoded once and its value shared. Decoding is a pure function of
+    the text: a cache hit skips only checks that already passed, and every
+    failure is still raised at the line that holds it.
+    """
+    SPAWN, SCHEDULE = EventKind.SPAWN, EventKind.SCHEDULE
+    threads: dict[tuple[str, str, str], ThreadIdentity] = {}
+    contexts: dict[str, ExecutionContext | None] = {}
+    events: list[TaskEvent] = []
+    append = events.append
+    make = TaskEvent._make
+    last_seq = 0
+    for line_no, line in enumerate(lines, start=2):
+        fields = line.split("|")
+        if len(fields) < 2 or fields[0] != MAGIC or fields[1] != "EV":
+            raise MalformedLine("not a PD1|EV record", line_no)
+        if len(fields) != _EVENT_FIELDS:
+            raise MalformedLine(
+                f"expected {_EVENT_FIELDS} fields, got {len(fields)}", line_no
+            )
+        (_, _, seq_text, ts_text, kind_text, mech_text, key,
+         tid, ptid, is_main, ctx_text, detail) = fields
+        seq = _parse_int(seq_text, "seq", line_no, minimum=1)
+        ts = _parse_int(ts_text, "timestamp", line_no)
+        kind = _KINDS.get(kind_text)
+        if kind is None:
+            raise UnknownKind(f"unknown event kind {kind_text!r}", line_no)
+        mech = _MECHANISMS.get(mech_text, False)
+        if mech is False:
+            raise MalformedLine(f"unknown mechanism {mech_text!r}", line_no)
+        key = None if key == "_" else _unescape(key, line_no)
+
+        if kind is SPAWN:
+            if mech is not None or key is not None:
+                raise MalformedLine("Spawn must not carry mechanism/task_key", line_no)
+        elif mech is None or key is None:
+            raise MalformedLine(f"{kind.value} requires mechanism and task_key", line_no)
+
+        thread = threads.get((tid, ptid, is_main))
+        if thread is None:
+            thread = threads[tid, ptid, is_main] = _decode_thread(
+                tid, ptid, is_main, line_no)
+
+        ctx = contexts.get(ctx_text, False)
+        if ctx is False:
+            ctx = contexts[ctx_text] = _decode_context(ctx_text, line_no)
+        if kind is SCHEDULE:
+            if ctx is None:
+                raise MalformedLine("Schedule requires a context", line_no)
+        elif ctx is not None:
+            raise MalformedLine(f"{kind.value} must not carry a context", line_no)
+
+        detail = None if detail == "_" else _unescape(detail, line_no)
+        if seq <= last_seq:
+            raise NonMonotonicSeq(f"seq {seq} after {last_seq}", line_no)
+        last_seq = seq
+        append(make((ts, kind, mech, key, thread, ctx, detail)))
+    return events
 
 
 def parse_trace(data: bytes) -> TraceSession:
@@ -218,25 +243,11 @@ def parse_trace(data: bytes) -> TraceSession:
     session_id = _unescape(header[2], 1)
     config_label = _unescape(header[3], 1)
     clock_origin_ns = _parse_int(header[4], "clock_origin_ns", 1)
-
-    events: list[TaskEvent] = []
-    last_seq = 0
-    for line_no, line in enumerate(lines[1:], start=2):
-        fields = line.split("|")
-        if len(fields) < 2 or fields[0] != MAGIC or fields[1] != "EV":
-            raise MalformedLine("not a PD1|EV record", line_no)
-        seq, event = _parse_event_line(fields, line_no)
-        if seq <= last_seq:
-            raise NonMonotonicSeq(
-                f"seq {seq} after {last_seq}", line_no
-            )
-        last_seq = seq
-        events.append(event)
     return TraceSession(
         session_id=session_id,
         config_label=config_label,
         clock_origin_ns=clock_origin_ns,
-        events=tuple(events),
+        events=tuple(_parse_events(lines[1:])),
     )
 
 

@@ -122,6 +122,26 @@ def test_analyze_out_and_histograms(trace_file, tmp_path, capsys):
     assert names == ["0-0_latency.csv", "0-0_queuing.csv"]
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_analyze_timings_change_no_output(trace_file, tmp_path, capsys, fmt):
+    argv = ["analyze", str(trace_file), str(trace_file), "--format", fmt]
+    assert main(argv) == EXIT_OK
+    plain = capsys.readouterr()
+    assert main([*argv, "--timings"]) == EXIT_OK
+    timed = capsys.readouterr()
+    assert timed.out == plain.out and plain.err == ""
+    stages = [line.split()[2] for line in timed.err.splitlines()]
+    assert stages == ["read+parse", "build", "render", "write"]
+    assert "files=2 events=" in timed.err
+    assert f"bytes={len(plain.out.encode())}" in timed.err
+
+    out_plain, out_timed = tmp_path / "plain", tmp_path / "timed"
+    assert main([*argv, "--out", str(out_plain)]) == EXIT_OK
+    assert main([*argv, "--out", str(out_timed), "--timings"]) == EXIT_OK
+    assert out_timed.read_bytes() == out_plain.read_bytes()
+    capsys.readouterr()
+
+
 def test_analyze_corrupt_trace(tmp_path, capsys):
     path = tmp_path / "junk.pdt"
     path.write_bytes(b"PD1|SESSION|x|y|0\nPD1|EV|1|oops\n")

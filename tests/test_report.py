@@ -1,5 +1,7 @@
 """Histogram arithmetic, ranking, and rendering determinism."""
 
+import json
+import math
 import pathlib
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asyncscope.report import (
+    _write_json,
     build_report,
     format_duration,
     histogram,
@@ -15,7 +18,7 @@ from asyncscope.report import (
     report_to_dict,
     write_histogram_csvs,
 )
-from asyncscope.scenarios import run_scenario
+from asyncscope.scenarios import SCENARIOS, run_scenario
 from asyncscope.tracelog import parse_trace, read_trace
 from asyncscope.trace_model import TraceSession
 
@@ -123,6 +126,46 @@ def test_golden_text_fixture():
 def test_golden_json_fixture():
     report = build_report([read_trace(DATA / "sequential_execute.pdt")])
     assert render_json(report) == (DATA / "sequential_execute.json").read_bytes()
+
+
+def _dumps(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+_SCENARIO_REPORTS = {name: [name] for name in sorted(SCENARIOS)}
+_SCENARIO_REPORTS["all merged"] = sorted(SCENARIOS)
+
+
+@pytest.mark.parametrize("names", _SCENARIO_REPORTS.values(), ids=_SCENARIO_REPORTS)
+def test_render_json_is_json_dumps(names):
+    report = build_report([run_scenario(name).session for name in names])
+    assert render_json(report) == (_dumps(report_to_dict(report)) + "\n").encode()
+
+
+_floats = st.one_of(
+    st.floats(), st.sampled_from([-0.0, 0.0, 1e16, math.nan, math.inf, -math.inf]))
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-(10**40), 10**40),
+    _floats, st.text(),
+    st.sampled_from(["é\u2028😀", '"q"', "back\\slash", "\x00\x1f\t\n"]),
+)
+_bins = st.tuples(_floats, _floats, st.integers()).map(list)
+_documents = st.recursive(
+    st.one_of(_scalars, _bins),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.dictionaries(st.text(max_size=8), inner, max_size=5),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=500)
+@given(_documents)
+def test_json_writer_matches_json_dumps(doc):
+    out = []
+    _write_json(doc, out, "\n")
+    assert "".join(out) == _dumps(doc)
 
 
 def test_empty_report_has_no_rows():

@@ -498,3 +498,29 @@ def test_real_drain_timeout_carries_partial_session():
     assert session.cancel(stuck_key) is CancelOutcome.SIGNALLED_RUNNING
     stuck_threads[0].join(timeout=10)
     assert not stuck_threads[0].is_alive()
+
+
+def test_real_drain_timeout_does_not_wait_for_stuck_workers():
+    started = threading.Semaphore(0)
+    stuck_threads = []
+
+    def stuck(token):
+        stuck_threads.append(threading.current_thread())
+        started.release()
+        while not token.is_cancelled():
+            time.sleep(0.001)
+
+    session = ProfilerSession(clock=RealMonotonicClock())
+    keys = [session.spawn_thread(Task("stuck", body=stuck, cancellation_check=True))
+            for _ in range(3)]
+    for _ in keys:
+        assert started.acquire(timeout=10)
+    begin = time.monotonic()
+    with pytest.raises(DrainTimeout):
+        session.drain(timeout_s=0.05)
+    assert time.monotonic() - begin < 0.5
+    for key in keys:
+        assert session.cancel(key) is CancelOutcome.SIGNALLED_RUNNING
+    for thread in stuck_threads:
+        thread.join(timeout=10)
+        assert not thread.is_alive()

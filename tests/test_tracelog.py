@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from asyncscope.scenarios import run_scenario
 from asyncscope.tracelog import (
     MalformedLine,
     MissingHeader,
@@ -119,6 +120,52 @@ def test_file_round_trip(tmp_path):
     session = _session(_three_events(), session_id="disk", label="real run")
     write_trace(session, path)
     assert read_trace(path) == session
+
+
+def test_schedules_from_one_site_share_one_context():
+    session = parse_trace(encode_session(run_scenario("sequential_execute").session))
+    by_frames = {}
+    for ev in session.events:
+        if ev.kind is EventKind.SCHEDULE:
+            assert by_frames.setdefault(ev.context.frames, ev.context) is ev.context
+    assert len(by_frames) < sum(ev.kind is EventKind.SCHEDULE for ev in session.events)
+
+
+_WORKER = ThreadIdentity(2, 1, False)
+_SITE = ExecutionContext(("m:f:1", "a%b:g:2"))  # encoded as m:f:1;a%25b:g:2
+
+
+def _repeated_events():
+    """Seven event lines (2-8) that repeat one worker and one context."""
+    pool = Mechanism.POOL_EXECUTOR
+    return [
+        TaskEvent(0, EventKind.SCHEDULE, pool, "POOL#1", MAIN, _SITE),
+        TaskEvent(0, EventKind.SCHEDULE, pool, "POOL#2", MAIN, _SITE),
+        TaskEvent(1, EventKind.START, pool, "POOL#1", _WORKER),
+        TaskEvent(2, EventKind.END, pool, "POOL#1", _WORKER),
+        TaskEvent(2, EventKind.START, pool, "POOL#2", _WORKER),
+        TaskEvent(3, EventKind.END, pool, "POOL#2", _WORKER),
+        TaskEvent(3, EventKind.SCHEDULE, pool, "POOL#3", MAIN, _SITE),
+    ]
+
+
+@pytest.mark.parametrize("line_no, field, value, message", [
+    (8, 9, "2", "is_main must be 0 or 1, got '2'"),
+    (6, 9, "x", "is_main must be 0 or 1, got 'x'"),
+    (8, 10, "m:f:1;a%2", "truncated escape near '2'"),
+    (7, 5, "BOGUS", "unknown mechanism 'BOGUS'"),
+])
+def test_bad_field_after_cached_values_positioned(line_no, field, value, message):
+    """A field whose earlier occurrences decoded and were cached still
+    fails at the line where it first goes bad."""
+    lines = encode_session(_session(_repeated_events())).decode().splitlines()
+    fields = lines[line_no - 1].split("|")
+    fields[field] = value
+    lines[line_no - 1] = "|".join(fields)
+    with pytest.raises(MalformedLine) as exc_info:
+        parse_trace(("\n".join(lines) + "\n").encode())
+    assert exc_info.value.line_no == line_no
+    assert str(exc_info.value) == f"line {line_no}: {message}"
 
 
 _name = st.text(
