@@ -124,6 +124,8 @@ class Task:
             raise ValueError("task label must be non-empty")
         if self.check_interval_ns <= 0:
             raise ValueError("check_interval_ns must be positive")
+        if self.synthetic_duration_ns is not None and self.synthetic_duration_ns < 0:
+            raise ValueError("synthetic_duration_ns must be non-negative")
 
 
 class _Status(enum.Enum):
@@ -154,15 +156,14 @@ class _TaskState:
 
 class _Worker:
     """One worker thread of an executor. The thread engine adds the real
-    thread, its mailbox of tasks and at most one pending callback."""
+    thread and its mailbox of tasks and timed callbacks."""
 
-    __slots__ = ("ident", "idle_gen", "retired", "timer", "mailbox", "thread")
+    __slots__ = ("ident", "idle_gen", "retired", "mailbox", "thread")
 
-    def __init__(self, ident: ThreadIdentity) -> None:
+    def __init__(self, ident: ThreadIdentity | None) -> None:
         self.ident = ident
         self.idle_gen = 0  # invalidates stale retirement callbacks
         self.retired = False
-        self.timer: tuple | None = None  # (due monotonic ns, callback)
         self.mailbox: queue.SimpleQueue | None = None
         self.thread: threading.Thread | None = None
 
@@ -267,12 +268,16 @@ class ProfilerSession:
             self._tls.ident = prev
 
     def _call_as(self, ident: ThreadIdentity, fn, *args) -> None:
-        """Call ``fn(*args)`` on this thread under the identity ``ident``."""
+        """Call ``fn(*args)`` on this thread under the identity ``ident``;
+        what it raises goes to ``threading.excepthook``."""
         tls = self._tls
         prev = getattr(tls, "ident", None)
         tls.ident = ident
         try:
             fn(*args)
+        except Exception:
+            threading.excepthook(threading.ExceptHookArgs(
+                (*sys.exc_info(), threading.current_thread())))
         finally:
             tls.ident = prev
 
@@ -469,9 +474,13 @@ class ProfilerSession:
         self._engine.stop(quiesced)
         session = self._assemble()
         if not quiesced:
+            with self._lock:
+                tasks = sum(state.status in (_Status.PENDING, _Status.RUNNING)
+                            for state in self._tasks.values())
+                actions = self._outstanding - tasks
             raise DrainTimeout(
-                f"{self._outstanding} task(s) never completed", session
-            )
+                f"{tasks} task(s) and {actions} timed action(s) never completed",
+                session)
         return session
 
     def _assemble(self) -> TraceSession:
@@ -547,6 +556,8 @@ class _Pool(_Executor):
             raise ValueError("need 1 <= core_size <= max_size")
         if queue_bound is not None and queue_bound < 1:
             raise ValueError("queue_bound must be positive or None")
+        if keep_alive_ns < 0:
+            raise ValueError("keep_alive_ns must be non-negative")
         super().__init__(session)
         self.core_size = core_size
         self.max_size = max_size
@@ -602,6 +613,11 @@ class _Pool(_Executor):
                 self._nworkers -= 1
                 worker.retired = True
 
+    def _shut_down(self) -> None:
+        """Refuse later submissions with ``_refusal``; queued tasks still run."""
+        with self._lock:
+            self._down = True
+
 
 class SerialQueueExecutor(_Pool):
     """Single-worker FIFO queue (looper/handler, query handler, service):
@@ -622,10 +638,7 @@ class SerialQueueExecutor(_Pool):
     def submit(self, task: Task, requester: ThreadIdentity | None = None) -> str:
         return self._submit(task, requester, self.mechanism, self._key_prefix)
 
-    def close(self) -> None:
-        """Refuse later submissions with WorkerDead; queued tasks still run."""
-        with self._lock:
-            self._down = True
+    close = _Pool._shut_down
 
 
 class PoolExecutor(_Pool):
@@ -639,10 +652,7 @@ class PoolExecutor(_Pool):
                mechanism: Mechanism = Mechanism.POOL_EXECUTOR) -> str:
         return self._submit(task, requester, mechanism)
 
-    def shut_down(self) -> None:
-        """Refuse later submissions with PoolShutDown; queued tasks still run."""
-        with self._lock:
-            self._down = True
+    shut_down = _Pool._shut_down
 
 
 class AsyncFacade:
@@ -723,7 +733,6 @@ class _VirtualEngine:
                 self.start(upcoming, worker)
             return
         if state.task.body is not None:
-            # Bodies run on the draining thread; what they raise leaves drain().
             session._call_as(worker.ident, state.task.body, state.token)
         duration = state.task.synthetic_duration_ns
         if duration is None:
@@ -751,54 +760,62 @@ class _VirtualEngine:
 
 class _ThreadEngine:
     """Real engine: one thread per worker, running each task its executor
-    hands it, on the real clock."""
+    hands it, on the real clock. Timed actions run on one extra worker,
+    the timekeeper, and count as outstanding until they have run."""
 
     def __init__(self, session: ProfilerSession) -> None:
         self._session = session
         self._clock = session.clock
-        self._timers: list[threading.Timer] = []
+        self._order = itertools.count().__next__  # FIFO among equal times
+        self._timekeeper = _Worker(None)
         self._live: set[_Worker] = set()
 
-    def start(self, state: _TaskState, worker: _Worker) -> None:
+    def start(self, item, worker: _Worker) -> None:
         if worker.thread is None:
             worker.mailbox = queue.SimpleQueue()
             worker.thread = threading.Thread(target=self._loop, args=(worker,),
                                              daemon=True)
             self._live.add(worker)
             worker.thread.start()
-        worker.mailbox.put(state)
+        worker.mailbox.put(item)  # a task, or a callback (due, order, fn)
 
     def call_later(self, worker: _Worker, delay_ns: int, fn) -> None:
-        # Executors call this from _next_task, on the worker's own thread.
-        # A newer callback replaces a pending one, which is stale by then.
-        worker.timer = (time.monotonic_ns() + delay_ns, fn)
+        worker.mailbox.put((time.monotonic_ns() + delay_ns, self._order(), fn))
 
     def call_at(self, t_ns: int, ident: ThreadIdentity, fn) -> None:
-        delay_s = max(0.0, (t_ns - self._clock.now_ns()) / 1e9)
-        timer = threading.Timer(delay_s, self._session._call_as, (ident, fn))
-        timer.daemon = True
-        self._timers.append(timer)
-        timer.start()
+        with self._session._lock:
+            self._session._outstanding += 1
+            self.start((self._clock.origin_ns + t_ns, self._order(),
+                        partial(self._timed, ident, fn)), self._timekeeper)
+
+    def _timed(self, ident: ThreadIdentity, fn) -> None:
+        self._session._call_as(ident, fn)
+        with self._session._quiesce:
+            self._session._outstanding -= 1
+            self._session._quiesce.notify_all()
 
     def signal(self, state: _TaskState) -> None:
         state.token.cancelled = True
 
     def _loop(self, worker: _Worker) -> None:
         self._session._tls.ident = worker.ident
+        callbacks: list = []  # a heap of (due monotonic ns, order, fn)
         while not worker.retired:
             timeout = None
-            if worker.timer is not None:
-                timeout = max(0.0, (worker.timer[0] - time.monotonic_ns()) / 1e9)
+            if callbacks:
+                timeout = max(0.0, (callbacks[0][0] - time.monotonic_ns()) / 1e9)
             try:
-                state = worker.mailbox.get(timeout=timeout)
+                item = worker.mailbox.get(timeout=timeout)
             except queue.Empty:
-                fn, worker.timer = worker.timer[1], None
-                fn()
+                heapq.heappop(callbacks)[2]()
                 continue
-            if state is None:  # the engine stopped
+            if item is None:  # the engine stopped
                 break
-            while state is not None:
-                state = self._run(state, worker)
+            if type(item) is tuple:
+                heapq.heappush(callbacks, item)
+                continue
+            while item is not None:
+                item = self._run(item, worker)
         self._live.discard(worker)
 
     def _run(self, state: _TaskState, worker: _Worker) -> _TaskState | None:
@@ -819,17 +836,10 @@ class _ThreadEngine:
                                state.token.cancelled and state.task.cancellation_check)
 
     def wait_idle(self, timeout_s: float | None) -> bool:
-        deadline = None if timeout_s is None else time.monotonic() + timeout_s
-
-        def remaining() -> float | None:
-            return None if deadline is None else max(0.0, deadline - time.monotonic())
-
-        for timer in self._timers:  # grows while timed actions add more
-            timer.join(remaining())
         session = self._session
         with session._quiesce:
             return session._quiesce.wait_for(
-                lambda: session._outstanding == 0, remaining())
+                lambda: session._outstanding == 0, timeout_s)
 
     def stop(self, quiesced: bool) -> None:
         """End every worker thread once it has no task left.

@@ -97,3 +97,41 @@ def test_idle_worker_above_core_retires_on_both_engines():
     # The second worker retires at 30 ms, so the later pair grows a third.
     assert sum(ev.kind is EventKind.SPAWN for ev in virtual.events) == 3
     _assert_same_tasks(virtual, real)
+
+
+@pytest.mark.parametrize("clock", [VirtualClock, RealMonotonicClock],
+                         ids=["virtual", "real"])
+@pytest.mark.parametrize("executor", ["pool", "serial"])
+def test_worker_survives_raising_body(executor, clock, monkeypatch):
+    """What a task body or a timed action raises goes once to
+    threading.excepthook, and the engine carries on."""
+    reported = []
+    monkeypatch.setattr(threading, "excepthook", reported.append)
+    hits = []
+
+    def boom(token):
+        raise TypeError("boom")
+
+    def late():
+        raise ValueError("late")
+
+    def workload(s):
+        if executor == "pool":
+            submit = s.pool_executor(core_size=1, max_size=1).submit
+        else:
+            submit = s.serial_executor().submit
+        submit(Task("boom", body=boom, synthetic_duration_ns=0))
+        for _ in range(200):
+            submit(Task("ok", body=hits.append, synthetic_duration_ns=0))
+        s.call_at(5 * MS, late)
+
+    virtual = session_run(workload, clock=VirtualClock())
+    hits.clear()
+    reported.clear()
+    trace = session_run(workload, clock=clock(), drain_timeout_s=5)
+    assert len(hits) == 200
+    records = correlate(trace.events)
+    assert len(records) == 201 and all(r.end_ns is not None for r in records)
+    assert sorted(type(args.exc_value).__name__ for args in reported) == [
+        "TypeError", "ValueError"]
+    _assert_same_tasks(virtual, trace)

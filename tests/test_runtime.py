@@ -300,8 +300,20 @@ def test_drain_timeout_carries_partial_session():
     session.spawn_thread(Task("forever", synthetic_duration_ns=None))
     with pytest.raises(DrainTimeout) as exc_info:
         session.drain(timeout_s=1.0)
+    assert str(exc_info.value) == "1 task(s) and 0 timed action(s) never completed"
     (rec,) = correlate(exc_info.value.session.events)
     assert rec.end_ns is None and rec.start_ns is not None
+
+
+def test_negative_synthetic_duration_rejected():
+    with pytest.raises(ValueError, match="synthetic_duration_ns"):
+        Task("t", synthetic_duration_ns=-5 * MS)
+
+
+def test_negative_keep_alive_rejected():
+    session = ProfilerSession(clock=VirtualClock())
+    with pytest.raises(ValueError, match="keep_alive_ns"):
+        session.pool_executor(core_size=1, max_size=2, keep_alive_ns=-10 * MS)
 
 
 def test_system_thread_outside_lineage():
@@ -373,6 +385,81 @@ def test_real_clock_cancel_checking_task():
     assert rec.end_ns < 5_000 * MS
 
 
+def test_real_call_at_runs_on_one_timekeeper_thread():
+    """200 timed actions, 20 due at each of 10 times, given out of due
+    order: one extra thread runs them all, in due order and FIFO among
+    equal times, and drain ends it."""
+    session = ProfilerSession(clock=RealMonotonicClock())
+    before = threading.active_count()
+    ran = []
+    threads = set()
+    counts = []
+
+    def action(due, i):
+        ran.append((due, i))
+        threads.add(threading.current_thread())
+        counts.append(threading.active_count())
+
+    base = session.clock.now_ns() + 100 * MS
+    for i in range(200):
+        due = base + (9 - i % 10) * MS
+        session.call_at(due, lambda due=due, i=i: action(due, i))
+    assert threading.active_count() <= before + 1
+    session.drain(timeout_s=10)
+    assert ran == sorted(ran) and len(ran) == 200
+    assert max(counts) <= before + 1
+    (thread,) = threads
+    assert not thread.is_alive()
+    assert threading.active_count() <= before
+
+
+def test_real_concurrent_call_at_share_one_timekeeper():
+    session = ProfilerSession(clock=RealMonotonicClock())
+    ran = []
+
+    def schedule():
+        for _ in range(50):
+            session.call_at(session.clock.now_ns() + 5 * MS,
+                            lambda: ran.append(threading.current_thread()))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        submitters = [threading.Thread(target=schedule) for _ in range(4)]
+        for t in submitters:
+            t.start()
+        for t in submitters:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in submitters)
+    session.drain(timeout_s=10)
+    assert len(ran) == 200 and len(set(ran)) == 1
+
+
+def test_real_drain_waits_for_pending_call_at(monkeypatch):
+    reported = []
+    monkeypatch.setattr(threading, "excepthook", reported.append)
+
+    def workload(s):
+        s.call_at(300 * MS, lambda: s.spawn_thread(
+            Task("late", synthetic_duration_ns=1 * MS)))
+
+    session = ProfilerSession(clock=RealMonotonicClock())
+    workload(session)
+    begin = time.monotonic()
+    with pytest.raises(DrainTimeout) as exc_info:
+        session.drain(timeout_s=0.05)
+    assert time.monotonic() - begin < 0.5
+    assert str(exc_info.value) == "0 task(s) and 1 timed action(s) never completed"
+    time.sleep(0.5)
+    assert reported == []
+    trace = session_run(workload, clock=RealMonotonicClock())
+    (rec,) = _records(trace)
+    assert rec.end_ns is not None
+    assert [ev.detail for ev in trace.events if ev.kind is EventKind.SCHEDULE] == ["late"]
+
+
 @pytest.mark.parametrize("emit_events", [False, True])
 def test_real_concurrent_submitters_draw_unique_keys(emit_events):
     """Pools share the key prefix POOL, so their submitters share a counter."""
@@ -402,31 +489,6 @@ def test_real_concurrent_submitters_draw_unique_keys(emit_events):
     all_keys = [k for ks in keys for k in ks]
     assert len(set(all_keys)) == len(all_keys) == n_threads * per_thread
     assert len(correlate(trace.events)) == (len(all_keys) if emit_events else 0)
-
-
-@pytest.mark.parametrize("executor", ["pool", "serial"])
-def test_real_worker_survives_raising_body(executor, monkeypatch):
-    reported = []
-    monkeypatch.setattr(threading, "excepthook", reported.append)
-    hits = []
-
-    def boom(token):
-        raise TypeError("boom")
-
-    def workload(s):
-        if executor == "pool":
-            submit = s.pool_executor(core_size=1, max_size=1).submit
-        else:
-            submit = s.serial_executor().submit
-        submit(Task("boom", body=boom))
-        for _ in range(200):
-            submit(Task("ok", body=hits.append))
-
-    trace = session_run(workload, clock=RealMonotonicClock(), drain_timeout_s=5)
-    assert len(hits) == 200
-    records = _records(trace)
-    assert len(records) == 201 and all(r.end_ns is not None for r in records)
-    assert [type(args.exc_value) for args in reported] == [TypeError]
 
 
 def test_real_cancel_race_outcomes_match_records():
