@@ -26,12 +26,20 @@ WORKLOADS = ("live_pool", "deep_mixed", "multi_config")
 
 
 def run_workload(name: str) -> tuple[dict, dict]:
-    """Run one perfbench workload; return its env stamp and final line."""
-    out = subprocess.run(
+    """Run one perfbench workload; return its env stamp and final line.
+
+    Exits non-zero, writing nothing, when perfbench does: a failed
+    correctness check (``"correct": false``) or a crash.
+    """
+    proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", name, "--seed", "1",
          "--seconds", "30", "--trace", "0"],
         cwd=ROOT, capture_output=True, text=True,
-    ).stdout.splitlines()
+    )
+    if proc.returncode != 0:
+        sys.exit(f"perfbench {name} exited {proc.returncode}; nothing written\n"
+                 f"{proc.stdout}{proc.stderr}")
+    out = proc.stdout.splitlines()
     env = next(line for line in out if line.startswith("env: "))
     return json.loads(env[len("env: "):]), json.loads(out[-1])
 

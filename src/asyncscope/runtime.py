@@ -43,9 +43,14 @@ DEFAULT_CAPTURE_DEPTH = 32
 DEFAULT_CHECK_INTERVAL_NS = 1_000_000  # 1 virtual ms
 DEFAULT_KEEP_ALIVE_NS = 10_000_000  # 10 virtual ms
 _STOP_JOIN_S = 1.0  # how long drain waits, in all, for idle workers to end
+_STUCK_KEYS_SHOWN = 3  # stuck task keys a DrainTimeout message names
 
 # Modules whose frames are instrumentation plumbing, not user context.
 _INTERNAL_MODULES = ("asyncscope.runtime", "asyncscope.clock")
+# CO_GENERATOR | CO_COROUTINE | CO_ASYNC_GENERATOR: such a frame's caller
+# changes each time it resumes, so it is never a capture anchor.
+_RESUMABLE = 0x2a0
+_NO_ANCHOR = (None, (), 0)
 
 
 class ProfilerError(Exception):
@@ -77,11 +82,15 @@ class UnknownTask(ProfilerError):
 
 
 class DrainTimeout(ProfilerError):
-    """Drain gave up waiting; carries the partial session."""
+    """Drain gave up waiting; carries the partial session, and in ``stuck``
+    a ``(key, label, mechanism, "queued" | "running")`` tuple for each
+    task that never ended, in submission order."""
 
-    def __init__(self, message: str, session: TraceSession) -> None:
+    def __init__(self, message: str, session: TraceSession,
+                 stuck: tuple = ()) -> None:
         super().__init__(message)
         self.session = session
+        self.stuck = stuck
 
 
 class CancelOutcome(enum.Enum):
@@ -230,6 +239,12 @@ class ProfilerSession:
             partial(itertools.count, 1))
         self._tasks: dict[str, _TaskState] = {}
         self._outstanding = 0
+        # The capture anchor (frame, its callers' triples, capture depth),
+        # the last walk's (id, code) of its second user frame, and the
+        # number of full walks; see _capture_context.
+        self._anchor = _NO_ANCHOR
+        self._second = None
+        self._walks = 0
         self._services: dict[str, SerialQueueExecutor] = {}
         self._facade: AsyncFacade | None = None
         if self.clock.mode is ClockMode.VIRTUAL:
@@ -291,14 +306,42 @@ class ProfilerSession:
              detail)
         )
 
+    @property
+    def capture_walks(self) -> int:
+        """How many context captures walked the stack in full, rather than
+        reusing the anchor's callers. Not written to the trace."""
+        return self._walks
+
     def _capture_context(self) -> tuple:
         """Raw (module, symbol, line) triples, innermost first.
 
         Formatting is deferred to drain to keep the submission path cheap.
+        While a plain function frame runs, its callers and their lines
+        cannot change, so a loop that submits need not walk them again.
+        The session keeps one anchor: a live frame, held so that its
+        identity cannot be reused, with its callers' triples. A walk whose
+        first or second user frame is the anchor takes that frame's own
+        triple and reuses the rest. Any other walk goes to the end, and
+        adopts its second user frame as the anchor when the walk before
+        it had the same one. Called with the lock held; drain releases
+        the anchor.
         """
-        frames: list = []
         depth = self.capture_depth
+        anchor, callers, anchor_depth = self._anchor
+        frames: list = []
+        head = 2 if depth > 2 else depth
+        second = None
         f = sys._getframe(2)
+        while f is not None and len(frames) < head:
+            module = f.f_globals.get("__name__", "?")
+            if not module.startswith(_INTERNAL_MODULES):
+                frames.append((module, f.f_code.co_name, f.f_lineno))
+                if f is anchor and depth == anchor_depth:
+                    context = tuple(frames) + callers
+                    return context if len(context) <= depth else context[:depth]
+                second = f
+            f = f.f_back
+        self._walks += 1
         while f is not None and len(frames) < depth:
             module = f.f_globals.get("__name__", "?")
             if not module.startswith(_INTERNAL_MODULES):
@@ -306,7 +349,21 @@ class ProfilerSession:
             f = f.f_back
         if not frames:
             frames.append(("<unknown>", "<unknown>", 0))
-        return tuple(frames)
+        context = tuple(frames)
+        if len(context) >= 2:
+            code = second.f_code
+            key = (id(second), code)
+            if key == self._second and not code.co_flags & _RESUMABLE:
+                # A hit on the first user frame needs depth - 1 callers.
+                callers = context[2:]
+                while f is not None and len(callers) < depth - 1:
+                    module = f.f_globals.get("__name__", "?")
+                    if not module.startswith(_INTERNAL_MODULES):
+                        callers += ((module, f.f_code.co_name, f.f_lineno),)
+                    f = f.f_back
+                self._anchor = (second, callers, depth)
+            self._second = key
+        return context
 
     # -- task lifecycle ------------------------------------------------------
 
@@ -470,17 +527,26 @@ class ProfilerSession:
         quiesced = self.wait_idle(
             timeout_s if timeout_s is not None else self.drain_timeout_s
         )
-        self._closed = True
+        with self._lock:  # no capture runs, or starts, after this
+            self._closed = True
+            self._anchor = _NO_ANCHOR
         self._engine.stop(quiesced)
         session = self._assemble()
         if not quiesced:
             with self._lock:
-                tasks = sum(state.status in (_Status.PENDING, _Status.RUNNING)
-                            for state in self._tasks.values())
-                actions = self._outstanding - tasks
-            raise DrainTimeout(
-                f"{tasks} task(s) and {actions} timed action(s) never completed",
-                session)
+                stuck = tuple(
+                    (state.key, state.task.label, state.mechanism,
+                     "running" if state.status is _Status.RUNNING else "queued")
+                    for state in self._tasks.values()
+                    if state.status in (_Status.PENDING, _Status.RUNNING))
+                actions = self._outstanding - len(stuck)
+            message = (f"{len(stuck)} task(s) and {actions} timed action(s) "
+                       "never completed")
+            if stuck:
+                keys = ", ".join(key for key, *_ in stuck[:_STUCK_KEYS_SHOWN])
+                more = ", ..." if len(stuck) > _STUCK_KEYS_SHOWN else ""
+                message += f": {keys}{more}"
+            raise DrainTimeout(message, session, stuck)
         return session
 
     def _assemble(self) -> TraceSession:

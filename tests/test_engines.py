@@ -3,14 +3,27 @@ executor policies, so a workload gets the same task structure on either
 clock. Only timings may differ, within a tolerance."""
 
 import threading
+import time
 from collections import defaultdict
 
 import pytest
 
 from asyncscope.clock import RealMonotonicClock, VirtualClock
-from asyncscope.runtime import CancelOutcome, Task, session_run
+from asyncscope.runtime import (
+    CancelOutcome,
+    DrainTimeout,
+    ProfilerSession,
+    Task,
+    session_run,
+)
 from asyncscope.scenarios import SCENARIOS, run_scenario
-from asyncscope.trace_model import EventKind, correlate, latency, queuing_time
+from asyncscope.trace_model import (
+    EventKind,
+    Mechanism,
+    correlate,
+    latency,
+    queuing_time,
+)
 
 MS = 1_000_000
 # Real sleeps overshoot and threads start late on a busy machine.
@@ -135,3 +148,50 @@ def test_worker_survives_raising_body(executor, clock, monkeypatch):
     assert sorted(type(args.exc_value).__name__ for args in reported) == [
         "TypeError", "ValueError"]
     _assert_same_tasks(virtual, trace)
+
+
+@pytest.mark.parametrize("clock", [VirtualClock, RealMonotonicClock],
+                         ids=["virtual", "real"])
+def test_drain_timeout_names_stuck_tasks(clock):
+    """Each task that never ends is named, queued or running, in
+    submission order; the message shows the first three keys."""
+    real = clock is RealMonotonicClock
+    started = threading.Semaphore(0)
+    threads = []
+
+    def stuck(token):
+        threads.append(threading.current_thread())
+        started.release()
+        while not token.is_cancelled():
+            time.sleep(0.001)
+
+    # The virtual engine runs a body inline, so there the task has none
+    # and simply never ends.
+    forever = Task("stuck", body=stuck if real else None,
+                   synthetic_duration_ns=None, cancellation_check=True)
+    session = ProfilerSession(clock=clock())
+    pool = session.pool_executor(core_size=1, max_size=1)
+    pool.submit(forever)
+    for i in range(3):
+        pool.submit(Task(f"q{i}", synthetic_duration_ns=1 * MS))
+    session.spawn_thread(forever)
+    if real:
+        for _ in range(2):
+            assert started.acquire(timeout=10)
+    with pytest.raises(DrainTimeout) as exc_info:
+        session.drain(timeout_s=0.05)
+    err = exc_info.value
+    assert err.stuck == (
+        ("POOL#1", "stuck", Mechanism.POOL_EXECUTOR, "running"),
+        ("POOL#2", "q0", Mechanism.POOL_EXECUTOR, "queued"),
+        ("POOL#3", "q1", Mechanism.POOL_EXECUTOR, "queued"),
+        ("POOL#4", "q2", Mechanism.POOL_EXECUTOR, "queued"),
+        ("THREAD#1", "stuck", Mechanism.NEW_THREAD, "running"),
+    )
+    assert str(err) == ("5 task(s) and 0 timed action(s) never completed: "
+                        "POOL#1, POOL#2, POOL#3, ...")
+    for key in ("POOL#1", "THREAD#1"):
+        assert session.cancel(key) is CancelOutcome.SIGNALLED_RUNNING
+    for thread in threads:
+        thread.join(timeout=10)
+        assert not thread.is_alive()

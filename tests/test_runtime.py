@@ -300,7 +300,10 @@ def test_drain_timeout_carries_partial_session():
     session.spawn_thread(Task("forever", synthetic_duration_ns=None))
     with pytest.raises(DrainTimeout) as exc_info:
         session.drain(timeout_s=1.0)
-    assert str(exc_info.value) == "1 task(s) and 0 timed action(s) never completed"
+    assert str(exc_info.value) == (
+        "1 task(s) and 0 timed action(s) never completed: THREAD#1")
+    assert exc_info.value.stuck == (
+        ("THREAD#1", "forever", Mechanism.NEW_THREAD, "running"),)
     (rec,) = correlate(exc_info.value.session.events)
     assert rec.end_ns is None and rec.start_ns is not None
 
