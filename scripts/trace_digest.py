@@ -11,15 +11,22 @@ virtual-clock traces and render byte-identical reports from them.
 
 Captured contexts include this script's own frames, so compare only
 digests printed by the same copy of this file: to check a change, copy
-it into a checkout of the parent and run both from their repository
-roots with ``PYTHONPATH=src``.
+it into a checkout of the parent and run both copies. Run from anywhere;
+it imports asyncscope from the ``src`` of the checkout it sits in::
+
+    python3 scripts/trace_digest.py
 """
 
 import hashlib
+import os
+import sys
 
-from asyncscope.report import build_report, render_json, render_text
-from asyncscope.scenarios import SCENARIOS, run_scenario
-from asyncscope.tracelog import encode_session, parse_trace
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from asyncscope.report import build_report, render_json, render_text  # noqa: E402
+from asyncscope.scenarios import SCENARIOS, run_scenario  # noqa: E402
+from asyncscope.tracelog import encode_session, parse_trace  # noqa: E402
 
 
 def main() -> None:

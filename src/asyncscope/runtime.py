@@ -47,10 +47,25 @@ _STUCK_KEYS_SHOWN = 3  # stuck task keys a DrainTimeout message names
 
 # Modules whose frames are instrumentation plumbing, not user context.
 _INTERNAL_MODULES = ("asyncscope.runtime", "asyncscope.clock")
+
+
+class _InternalTest(dict):
+    """Module name -> whether it starts with one of _INTERNAL_MODULES,
+    computed on first sight: a dict lookup is cheaper than ``startswith``
+    with a tuple of prefixes. A pure function of the name, so one table
+    serves every session and thread."""
+
+    def __missing__(self, module: str) -> bool:
+        internal = self[module] = module.startswith(_INTERNAL_MODULES)
+        return internal
+
+
+_is_internal = _InternalTest()
+
 # CO_GENERATOR | CO_COROUTINE | CO_ASYNC_GENERATOR: such a frame's caller
 # changes each time it resumes, so it is never a capture anchor.
 _RESUMABLE = 0x2a0
-_NO_ANCHOR = (None, (), 0)
+_NO_ANCHOR = (None, (), 0, None)
 
 
 class ProfilerError(Exception):
@@ -83,8 +98,12 @@ class UnknownTask(ProfilerError):
 
 class DrainTimeout(ProfilerError):
     """Drain gave up waiting; carries the partial session, and in ``stuck``
-    a ``(key, label, mechanism, "queued" | "running")`` tuple for each
-    task that never ended, in submission order."""
+    a ``(key, label, mechanism, "queued" | "running", since_ns)`` tuple for
+    each task that never ended, in submission order. ``since_ns`` is the
+    session clock's time, as the trace records it, of the task's Schedule
+    (queued) or Start (running) event; None when the log holds no such
+    event: with ``emit_events=False``, or for a real worker caught between
+    taking its task and logging the Start."""
 
     def __init__(self, message: str, session: TraceSession,
                  stuck: tuple = ()) -> None:
@@ -239,12 +258,18 @@ class ProfilerSession:
             partial(itertools.count, 1))
         self._tasks: dict[str, _TaskState] = {}
         self._outstanding = 0
-        # The capture anchor (frame, its callers' triples, capture depth),
-        # the last walk's (id, code) of its second user frame, and the
-        # number of full walks; see _capture_context.
+        # The capture anchor (frame, its callers' triples, capture depth,
+        # and the contexts captured through it, keyed by the triples walked
+        # below it), the last walk's (id, code) of its second user frame, the number
+        # of full walks, and the table interning each context returned, a
+        # dict from a tuple to itself; see _capture_context. _assemble
+        # empties the table into _made: an ExecutionContext per interned
+        # tuple, keyed by the tuple's id.
         self._anchor = _NO_ANCHOR
         self._second = None
         self._walks = 0
+        self._contexts: dict[tuple, tuple] = {}
+        self._made: dict[int, ExecutionContext] = {}
         self._services: dict[str, SerialQueueExecutor] = {}
         self._facade: AsyncFacade | None = None
         if self.clock.mode is ClockMode.VIRTUAL:
@@ -321,35 +346,46 @@ class ProfilerSession:
         The session keeps one anchor: a live frame, held so that its
         identity cannot be reused, with its callers' triples. A walk whose
         first or second user frame is the anchor takes that frame's own
-        triple and reuses the rest. Any other walk goes to the end, and
+        triple and reuses the rest, or, when the triples it walked repeat,
+        the context they gave before. Any other walk goes to the end, and
         adopts its second user frame as the anchor when the walk before
-        it had the same one. Called with the lock held; drain releases
-        the anchor.
+        it had the same one. Each context returned is interned in the
+        session, so a repeat shares one tuple, and the triples just built
+        for it die at once. Called with the lock held; drain releases the
+        anchor and the intern table.
         """
         depth = self.capture_depth
-        anchor, callers, anchor_depth = self._anchor
+        anchor, callers, anchor_depth, known = self._anchor
         frames: list = []
         head = 2 if depth > 2 else depth
         second = None
         f = sys._getframe(2)
         while f is not None and len(frames) < head:
             module = f.f_globals.get("__name__", "?")
-            if not module.startswith(_INTERNAL_MODULES):
+            if not _is_internal[module]:
                 frames.append((module, f.f_code.co_name, f.f_lineno))
                 if f is anchor and depth == anchor_depth:
-                    context = tuple(frames) + callers
-                    return context if len(context) <= depth else context[:depth]
+                    inner = tuple(frames)
+                    context = known.get(inner)
+                    if context is None:
+                        context = inner + callers
+                        if len(context) > depth:
+                            context = context[:depth]
+                        context = known[inner] = self._contexts.setdefault(
+                            context, context)
+                    return context
                 second = f
             f = f.f_back
         self._walks += 1
         while f is not None and len(frames) < depth:
             module = f.f_globals.get("__name__", "?")
-            if not module.startswith(_INTERNAL_MODULES):
+            if not _is_internal[module]:
                 frames.append((module, f.f_code.co_name, f.f_lineno))
             f = f.f_back
         if not frames:
             frames.append(("<unknown>", "<unknown>", 0))
         context = tuple(frames)
+        context = self._contexts.setdefault(context, context)
         if len(context) >= 2:
             code = second.f_code
             key = (id(second), code)
@@ -358,10 +394,10 @@ class ProfilerSession:
                 callers = context[2:]
                 while f is not None and len(callers) < depth - 1:
                     module = f.f_globals.get("__name__", "?")
-                    if not module.startswith(_INTERNAL_MODULES):
+                    if not _is_internal[module]:
                         callers += ((module, f.f_code.co_name, f.f_lineno),)
                     f = f.f_back
-                self._anchor = (second, callers, depth)
+                self._anchor = (second, callers, depth, {})
             self._second = key
         return context
 
@@ -534,12 +570,19 @@ class ProfilerSession:
         session = self._assemble()
         if not quiesced:
             with self._lock:
-                stuck = tuple(
+                stuck = [
                     (state.key, state.task.label, state.mechanism,
                      "running" if state.status is _Status.RUNNING else "queued")
                     for state in self._tasks.values()
-                    if state.status in (_Status.PENDING, _Status.RUNNING))
+                    if state.status in (_Status.PENDING, _Status.RUNNING)]
                 actions = self._outstanding - len(stuck)
+            # Since when, read from the log here, so that the submit path
+            # reads no clock for it.
+            wanted = {key: EventKind.START if status == "running"
+                      else EventKind.SCHEDULE for key, _, _, status in stuck}
+            since = {key: ts for ts, kind, _, key, _, _, _ in self._events
+                     if wanted.get(key) is kind}
+            stuck = tuple((*entry, since.get(entry[0])) for entry in stuck)
             message = (f"{len(stuck)} task(s) and {actions} timed action(s) "
                        "never completed")
             if stuck:
@@ -554,21 +597,18 @@ class ProfilerSession:
         # the stable sort keeps emission order among equal timestamps.
         raw = self._events[:]
         raw.sort(key=itemgetter(0))
-        contexts: dict[tuple, ExecutionContext] = {}
-
-        def materialize(triples) -> ExecutionContext:
-            ctx = contexts.get(triples)
-            if ctx is None:
-                ctx = ExecutionContext(
-                    tuple(f"{m}:{s}:{line}" for m, s, line in triples)
-                )
-                contexts[triples] = ctx
-            return ctx
-
+        # Every context in the log is an interned tuple, which the log
+        # keeps alive, so its id names it and no event's tuple is hashed.
+        # No capture follows the first drain, whose table is complete.
+        made = self._made
+        for triples in self._contexts:
+            made[id(triples)] = ExecutionContext(
+                tuple(f"{m}:{s}:{line}" for m, s, line in triples))
+        self._contexts = {}
         make = TaskEvent._make
         events = tuple(
             make((ts, kind, mech, key, thread,
-                  materialize(context) if context is not None else None,
+                  made[id(context)] if context is not None else None,
                   detail))
             for ts, kind, mech, key, thread, context, detail in raw
         )

@@ -1,9 +1,10 @@
 """Context capture: the anchored walk against the uncached walk it
-replaces, and the anchor's lifetime.
+replaces, the interning of what it returns, and the anchor's lifetime.
 
 ``OracleSession`` computes, at every submission, both the session's
 capture and the plain walk below from the same frame, and records any
-difference. The plain walk is the reference and lives only here.
+difference. The plain walk, with its ``startswith`` module test, is the
+reference and lives only here.
 """
 
 import sys
@@ -20,6 +21,7 @@ from asyncscope.runtime import (
     ProfilerSession,
     Task,
 )
+from asyncscope.trace_model import EventKind
 
 MS = 1_000_000
 
@@ -41,6 +43,7 @@ class OracleSession(ProfilerSession):
         super().__init__(**kwargs)
         self.captures = 0
         self.mismatches = []
+        self.returned = []
 
     def _capture_context(self):
         # Frame 2 is what the session's own capture starts from when
@@ -49,6 +52,7 @@ class OracleSession(ProfilerSession):
         want = uncached_walk(sys._getframe(2), self.capture_depth)
         got = super()._capture_context()
         self.captures += 1
+        self.returned.append(got)
         if got != want:
             self.mismatches.append((got, want))
         return got
@@ -169,8 +173,39 @@ def depth_change(s):
         _submit(pool, _task("changed"))
 
 
+def alternating(s):
+    """A direct submit and one through a helper, in turn: never adopts."""
+    pool = s.pool_executor(core_size=2, max_size=2)
+    for i in range(20):
+        if i % 2:
+            _submit(pool, _task("via-helper"))
+        else:
+            pool.submit(_task("direct"))
+
+
+# Module names on either side of the internal-module test, and none at all.
+FOREIGN = ["asyncscope.runtime_helpers", "asyncscope", None]
+
+
+def _foreign_submit(module):
+    """A submit helper whose frames report ``module`` as their module, or
+    whose globals have no ``__name__`` when ``module`` is None."""
+    namespace = {} if module is None else {"__name__": module}
+    exec(compile("def submit(pool, task):\n    pool.submit(task)\n",
+                 "<foreign>", "exec"), namespace)
+    return namespace["submit"]
+
+
+def foreign(s):
+    pool = s.pool_executor(core_size=2, max_size=2)
+    for module in FOREIGN:
+        submit = _foreign_submit(module)
+        for _ in range(4):
+            submit(pool, _task(f"foreign-{module}"))
+
+
 CASES = [loop, two_lines, helper, recursion, generators, nested, deep,
-         depth_change]
+         depth_change, alternating, foreign]
 
 
 @pytest.mark.parametrize("depth", [1, 2, 32])
@@ -181,6 +216,47 @@ def test_capture_equals_uncached_walk(case, depth):
     session.drain()
     assert session.captures > 0
     assert session.mismatches == []
+    # Equal contexts are one interned tuple.
+    returned = session.returned
+    assert len({id(c) for c in returned}) == len(set(returned))
+
+
+def test_module_test_agrees_with_startswith():
+    session = OracleSession(clock=VirtualClock())
+    foreign(session)
+    session.drain()
+    assert session.mismatches == []
+    modules = {module for context in session.returned
+               for module, _, _ in context}
+    # "asyncscope.runtime_helpers" starts with "asyncscope.runtime".
+    assert "asyncscope.runtime_helpers" not in modules
+    assert {"asyncscope", "?"} <= modules
+
+
+@pytest.mark.parametrize("case", [loop, alternating])
+def test_one_line_returns_one_tuple(case):
+    """On the anchor's path and on full walks alike."""
+    session = OracleSession(clock=VirtualClock())
+    case(session)
+    session.drain()
+    by_line = {}
+    for context in session.returned:
+        by_line.setdefault(context[0][2], []).append(context)
+    for contexts in by_line.values():
+        assert len(contexts) > 1
+        assert all(c is contexts[0] for c in contexts)
+
+
+@pytest.mark.parametrize("case", [loop, two_lines, alternating, foreign])
+def test_each_site_shares_one_execution_context(case):
+    session = ProfilerSession(clock=VirtualClock())
+    case(session)
+    trace = session.drain()
+    by_site = {}
+    for ev in trace.events:
+        if ev.kind is EventKind.SCHEDULE:
+            by_site.setdefault(ev.detail, set()).add(id(ev.context))
+    assert by_site and all(len(ids) == 1 for ids in by_site.values())
 
 
 @pytest.mark.parametrize("case", [loop, two_lines, helper, nested, deep])
@@ -281,3 +357,20 @@ def test_anchor_released_at_drain_timeout():
     with pytest.raises(DrainTimeout):
         session.drain(timeout_s=1.0)
     assert ref() is None
+
+
+def test_a_second_drain_gives_the_same_contexts():
+    """The first drain consumes the intern table; a second one, after a
+    timeout, still finds each Schedule's context."""
+    session = ProfilerSession(clock=VirtualClock())
+    loop(session)
+    session.spawn_thread(Task("forever", synthetic_duration_ns=None))
+    traces = []
+    for _ in range(2):
+        with pytest.raises(DrainTimeout) as exc_info:
+            session.drain(timeout_s=1.0)
+        traces.append(exc_info.value.session)
+    first, second = ([ev.context for ev in trace.events
+                      if ev.kind is EventKind.SCHEDULE] for trace in traces)
+    assert len(first) == 21
+    assert all(a is b for a, b in zip(first, second, strict=True))

@@ -181,13 +181,18 @@ def test_drain_timeout_names_stuck_tasks(clock):
     with pytest.raises(DrainTimeout) as exc_info:
         session.drain(timeout_s=0.05)
     err = exc_info.value
-    assert err.stuck == (
+    assert [entry[:4] for entry in err.stuck] == [
         ("POOL#1", "stuck", Mechanism.POOL_EXECUTOR, "running"),
         ("POOL#2", "q0", Mechanism.POOL_EXECUTOR, "queued"),
         ("POOL#3", "q1", Mechanism.POOL_EXECUTOR, "queued"),
         ("POOL#4", "q2", Mechanism.POOL_EXECUTOR, "queued"),
         ("THREAD#1", "stuck", Mechanism.NEW_THREAD, "running"),
-    )
+    ]
+    # Each is stuck since its Start if running, else since its Schedule.
+    times = {(ev.task_key, ev.kind): ev.timestamp_ns for ev in err.session.events}
+    for key, _, _, status, since in err.stuck:
+        kind = EventKind.START if status == "running" else EventKind.SCHEDULE
+        assert since == times[key, kind]
     assert str(err) == ("5 task(s) and 0 timed action(s) never completed: "
                         "POOL#1, POOL#2, POOL#3, ...")
     for key in ("POOL#1", "THREAD#1"):

@@ -303,9 +303,29 @@ def test_drain_timeout_carries_partial_session():
     assert str(exc_info.value) == (
         "1 task(s) and 0 timed action(s) never completed: THREAD#1")
     assert exc_info.value.stuck == (
-        ("THREAD#1", "forever", Mechanism.NEW_THREAD, "running"),)
+        ("THREAD#1", "forever", Mechanism.NEW_THREAD, "running", 0),)
     (rec,) = correlate(exc_info.value.session.events)
     assert rec.end_ns is None and rec.start_ns is not None
+
+
+@pytest.mark.parametrize("emit", [True, False], ids=["emit", "no-emit"])
+def test_drain_timeout_says_when_each_task_got_stuck(emit):
+    """A running task is stuck since its Start, not its Schedule; a queued
+    one since its Schedule. Without events there is no log to read."""
+    session = ProfilerSession(clock=VirtualClock(), emit_events=emit)
+    pool = session.pool_executor(core_size=1, max_size=1)
+    for t_ns, task in ((1 * MS, Task("first", synthetic_duration_ns=3 * MS)),
+                       (2 * MS, Task("forever", synthetic_duration_ns=None)),
+                       (5 * MS, Task("queued", synthetic_duration_ns=1 * MS))):
+        session.call_at(t_ns, lambda task=task: pool.submit(task))
+    with pytest.raises(DrainTimeout) as exc_info:
+        session.drain(timeout_s=1.0)
+    assert exc_info.value.stuck == (
+        ("POOL#2", "forever", Mechanism.POOL_EXECUTOR, "running",
+         4 * MS if emit else None),
+        ("POOL#3", "queued", Mechanism.POOL_EXECUTOR, "queued",
+         5 * MS if emit else None),
+    )
 
 
 def test_negative_synthetic_duration_rejected():
