@@ -70,7 +70,7 @@ class HeuristicConfig:
             "cv_threshold", "max_min_ratio", "max_median_ratio",
             "abs_latency_warn_ns", "abs_anr_ns", "incomplete_warn_fraction",
         ):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         if self.min_samples < 2:
             raise ValueError("min_samples must be at least 2")

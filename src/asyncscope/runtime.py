@@ -237,6 +237,8 @@ class ProfilerSession:
         emit_events: bool = True,
         drain_timeout_s: float = 30.0,
     ) -> None:
+        if capture_depth < 1:
+            raise ValueError("capture_depth must be at least 1")
         self.clock = clock if clock is not None else VirtualClock()
         self.config_label = config_label
         self.session_id = session_id
@@ -291,6 +293,9 @@ class ProfilerSession:
         return ident
 
     def _new_worker_identity(self, parent: ThreadIdentity) -> ThreadIdentity:
+        """Called with the lock held, so a closed session logs no Spawn."""
+        if self._closed:
+            raise SessionClosed("session is closed")
         ident = ThreadIdentity(self._next_tid(), parent.thread_id, False)
         self._emit(EventKind.SPAWN, None, None, ident, None, None)
         return ident
@@ -349,7 +354,8 @@ class ProfilerSession:
         triple and reuses the rest, or, when the triples it walked repeat,
         the context they gave before. Any other walk goes to the end, and
         adopts its second user frame as the anchor when the walk before
-        it had the same one. Each context returned is interned in the
+        it had the same one; an adopting walk takes one user frame more,
+        for the anchor's callers. Each context returned is interned in the
         session, so a repeat shares one tuple, and the triples just built
         for it die at once. Called with the lock held; drain releases the
         anchor and the intern table.
@@ -358,7 +364,6 @@ class ProfilerSession:
         anchor, callers, anchor_depth, known = self._anchor
         frames: list = []
         head = 2 if depth > 2 else depth
-        second = None
         f = sys._getframe(2)
         while f is not None and len(frames) < head:
             module = f.f_globals.get("__name__", "?")
@@ -377,7 +382,15 @@ class ProfilerSession:
                 second = f
             f = f.f_back
         self._walks += 1
-        while f is not None and len(frames) < depth:
+        tail = depth
+        if len(frames) == 2:
+            code = second.f_code
+            key = (id(second), code)
+            if key == self._second and not code.co_flags & _RESUMABLE:
+                # Adopt: a hit on the first user frame needs depth - 1 callers.
+                tail = depth + 1
+            self._second = key
+        while f is not None and len(frames) < tail:
             module = f.f_globals.get("__name__", "?")
             if not _is_internal[module]:
                 frames.append((module, f.f_code.co_name, f.f_lineno))
@@ -385,21 +398,10 @@ class ProfilerSession:
         if not frames:
             frames.append(("<unknown>", "<unknown>", 0))
         context = tuple(frames)
-        context = self._contexts.setdefault(context, context)
-        if len(context) >= 2:
-            code = second.f_code
-            key = (id(second), code)
-            if key == self._second and not code.co_flags & _RESUMABLE:
-                # A hit on the first user frame needs depth - 1 callers.
-                callers = context[2:]
-                while f is not None and len(callers) < depth - 1:
-                    module = f.f_globals.get("__name__", "?")
-                    if not _is_internal[module]:
-                        callers += ((module, f.f_code.co_name, f.f_lineno),)
-                    f = f.f_back
-                self._anchor = (second, callers, depth, {})
-            self._second = key
-        return context
+        if tail > depth:
+            self._anchor = (second, context[2:], depth, {})
+            context = context[:depth]
+        return self._contexts.setdefault(context, context)
 
     # -- task lifecycle ------------------------------------------------------
 
@@ -412,7 +414,8 @@ class ProfilerSession:
             raise SessionClosed("session is closed")
         if requester is None:
             requester = self.current_thread()
-        prefix = key_prefix if key_prefix is not None else mechanism.value
+        # _value_, because Enum.value is a Python-level property.
+        prefix = key_prefix if key_prefix is not None else mechanism._value_
         state = _TaskState(f"{prefix}#{next(self._key_counters[prefix])}",
                            task, mechanism, requester, owner)
         self._tasks[state.key] = state
@@ -469,8 +472,6 @@ class ProfilerSession:
 
     def spawn_thread(self, task: Task, requester: ThreadIdentity | None = None) -> str:
         """Run the task on a brand-new thread (non-reusable threading)."""
-        if self._closed:
-            raise SessionClosed("session is closed")
         if requester is None:
             requester = self.current_thread()
         executor = self._fresh_threads
@@ -563,26 +564,28 @@ class ProfilerSession:
         quiesced = self.wait_idle(
             timeout_s if timeout_s is not None else self.drain_timeout_s
         )
-        with self._lock:  # no capture runs, or starts, after this
+        # No capture runs, or starts, after this step, and what it finds
+        # unfinished is what the DrainTimeout names.
+        with self._lock:
             self._closed = True
             self._anchor = _NO_ANCHOR
-        self._engine.stop(quiesced)
+            unfinished = [] if quiesced else [
+                (state, "running" if state.status is _Status.RUNNING else "queued")
+                for state in self._tasks.values()
+                if state.status in (_Status.PENDING, _Status.RUNNING)]
+            actions = self._outstanding - len(unfinished)
+        self._engine.stop({state.worker for state, status in unfinished
+                           if status == "running"})
         session = self._assemble()
         if not quiesced:
-            with self._lock:
-                stuck = [
-                    (state.key, state.task.label, state.mechanism,
-                     "running" if state.status is _Status.RUNNING else "queued")
-                    for state in self._tasks.values()
-                    if state.status in (_Status.PENDING, _Status.RUNNING)]
-                actions = self._outstanding - len(stuck)
             # Since when, read from the log here, so that the submit path
             # reads no clock for it.
-            wanted = {key: EventKind.START if status == "running"
-                      else EventKind.SCHEDULE for key, _, _, status in stuck}
+            wanted = {state.key: EventKind.START if status == "running"
+                      else EventKind.SCHEDULE for state, status in unfinished}
             since = {key: ts for ts, kind, _, key, _, _, _ in self._events
                      if wanted.get(key) is kind}
-            stuck = tuple((*entry, since.get(entry[0])) for entry in stuck)
+            stuck = tuple((state.key, state.task.label, state.mechanism, status,
+                           since.get(state.key)) for state, status in unfinished)
             message = (f"{len(stuck)} task(s) and {actions} timed action(s) "
                        "never completed")
             if stuck:
@@ -737,9 +740,8 @@ class SerialQueueExecutor(_Pool):
         super().__init__(session, 1, 1, None, 0)
         self.mechanism = mechanism
         self._key_prefix = key_prefix
-        worker = self._add_worker(session.current_thread())
-        self._idle.append(worker)
-        self.worker = worker.ident
+        with self._lock:
+            self._idle.append(self._add_worker(session.current_thread()))
 
     def submit(self, task: Task, requester: ThreadIdentity | None = None) -> str:
         return self._submit(task, requester, self.mechanism, self._key_prefix)
@@ -773,8 +775,7 @@ class AsyncFacade:
                         requester: ThreadIdentity | None = None) -> str:
         if self._default_queue is None:
             self._default_queue = self._session.serial_executor(
-                Mechanism.ASYNC_FACADE, key_prefix=Mechanism.ASYNC_FACADE.value
-            )
+                Mechanism.ASYNC_FACADE)
         return self._default_queue.submit(task, requester)
 
     def execute_on(self, pool: PoolExecutor, task: Task,
@@ -860,7 +861,7 @@ class _VirtualEngine:
             fn()
         return self._session._outstanding == 0
 
-    def stop(self, quiesced: bool) -> None:
+    def stop(self, busy: set) -> None:
         pass
 
 
@@ -947,19 +948,13 @@ class _ThreadEngine:
             return session._quiesce.wait_for(
                 lambda: session._outstanding == 0, timeout_s)
 
-    def stop(self, quiesced: bool) -> None:
+    def stop(self, busy: set) -> None:
         """End every worker thread once it has no task left.
 
-        Idle workers are joined against one shared deadline. After a drain
-        that timed out, a worker still running a task gets its sentinel
-        but is not waited for: it ends when its task does.
+        Idle workers are joined against one shared deadline. A worker in
+        ``busy``, still running a task when a drain timed out, gets its
+        sentinel but is not waited for: it ends when its task does.
         """
-        session = self._session
-        busy = set()
-        if not quiesced:
-            with session._lock:
-                busy = {state.worker for state in session._tasks.values()
-                        if state.status is _Status.RUNNING}
         workers = list(self._live)
         for worker in workers:
             worker.mailbox.put(None)

@@ -82,8 +82,6 @@ def encode_event(event: TaskEvent, seq: int) -> str:
     """Serialize one event to its log line (without the newline)."""
     if event.context is not None:
         context = ";".join(_escape(f) for f in event.context.frames)
-        if context == "_":
-            context = "%5F"
     else:
         context = "_"
     thread = event.thread

@@ -339,3 +339,14 @@ def test_config_rejects_bad_value(tmp_path):
     path.write_text("cv_threshold = banana\n")
     with pytest.raises(ValueError):
         HeuristicConfig.from_file(path)
+
+
+@pytest.mark.parametrize("name", ["cv_threshold", "max_min_ratio",
+                                  "incomplete_warn_fraction"])
+def test_config_rejects_nan_threshold(tmp_path, name):
+    """NaN passes a ``<= 0`` test and would silently switch a heuristic
+    off."""
+    path = tmp_path / "nan.cfg"
+    path.write_text(f"{name} = nan\n")
+    with pytest.raises(ValueError, match=name):
+        HeuristicConfig.from_file(path)

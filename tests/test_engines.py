@@ -13,6 +13,7 @@ from asyncscope.runtime import (
     CancelOutcome,
     DrainTimeout,
     ProfilerSession,
+    SessionClosed,
     Task,
     session_run,
 )
@@ -32,6 +33,8 @@ LATE_NS = 500 * MS
 SERIAL_PREFIXES = ("LOOPER", "AQUERY", "AFACADE", "SERVICE")
 # Each of these sleeps 25 s of real time.
 SLOW = {"blocking_execution", "no_cancel"}
+CLOCKS = pytest.mark.parametrize("clock", [VirtualClock, RealMonotonicClock],
+                                 ids=["virtual", "real"])
 
 
 def _structure(trace):
@@ -112,8 +115,7 @@ def test_idle_worker_above_core_retires_on_both_engines():
     _assert_same_tasks(virtual, real)
 
 
-@pytest.mark.parametrize("clock", [VirtualClock, RealMonotonicClock],
-                         ids=["virtual", "real"])
+@CLOCKS
 @pytest.mark.parametrize("executor", ["pool", "serial"])
 def test_worker_survives_raising_body(executor, clock, monkeypatch):
     """What a task body or a timed action raises goes once to
@@ -150,8 +152,7 @@ def test_worker_survives_raising_body(executor, clock, monkeypatch):
     _assert_same_tasks(virtual, trace)
 
 
-@pytest.mark.parametrize("clock", [VirtualClock, RealMonotonicClock],
-                         ids=["virtual", "real"])
+@CLOCKS
 def test_drain_timeout_names_stuck_tasks(clock):
     """Each task that never ends is named, queued or running, in
     submission order; the message shows the first three keys."""
@@ -197,6 +198,59 @@ def test_drain_timeout_names_stuck_tasks(clock):
                         "POOL#1, POOL#2, POOL#3, ...")
     for key in ("POOL#1", "THREAD#1"):
         assert session.cancel(key) is CancelOutcome.SIGNALLED_RUNNING
+    for thread in threads:
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+@CLOCKS
+def test_drained_session_refuses_submissions(clock):
+    session = ProfilerSession(clock=clock())
+    pool = session.pool_executor(core_size=1, max_size=1)
+    looper = session.serial_executor()
+    session.register_service("svc")
+    pool.submit(Task("early", synthetic_duration_ns=1 * MS))
+    session.drain(timeout_s=10)
+    late = Task("late", synthetic_duration_ns=1 * MS)
+    for submit in (lambda: pool.submit(late),
+                   lambda: looper.submit(late),
+                   lambda: session.dispatch_service("svc", late),
+                   lambda: session.call_at(0, lambda: None)):
+        with pytest.raises(SessionClosed):
+            submit()
+
+
+@CLOCKS
+def test_closed_session_gains_no_events(clock):
+    """After a drain that timed out, nothing may make a new worker: a
+    second drain returns the same trace as the first."""
+    real = clock is RealMonotonicClock
+    started = threading.Event()
+    threads = []
+
+    def stuck(token):
+        threads.append(threading.current_thread())
+        started.set()
+        while not token.is_cancelled():
+            time.sleep(0.001)
+
+    session = ProfilerSession(clock=clock())
+    key = session.spawn_thread(Task("stuck", body=stuck if real else None,
+                                    synthetic_duration_ns=None,
+                                    cancellation_check=True))
+    assert not real or started.wait(timeout=10)
+    with pytest.raises(DrainTimeout) as first:
+        session.drain(timeout_s=0.05)
+    for make in (session.serial_executor,
+                 lambda: session.register_service("svc"),
+                 lambda: session.facade.execute_default(Task("late"))):
+        with pytest.raises(SessionClosed):
+            make()
+    with pytest.raises(DrainTimeout) as second:
+        session.drain(timeout_s=0.05)
+    assert len(first.value.session.events) == 3
+    assert second.value.session.events == first.value.session.events
+    assert session.cancel(key) is CancelOutcome.SIGNALLED_RUNNING
     for thread in threads:
         thread.join(timeout=10)
         assert not thread.is_alive()

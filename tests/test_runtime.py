@@ -247,6 +247,25 @@ def test_cancel_before_dequeue():
     assert queued.cancelled and queued.start_ns is None
 
 
+def test_cancel_after_handoff_before_start():
+    """A task handed to a worker but cancelled before it began is skipped,
+    and its worker takes the next queued task at once."""
+    outcomes = []
+
+    def workload(s):
+        pool = s.pool_executor(core_size=1, max_size=1)
+        handed = pool.submit(Task("handed", synthetic_duration_ns=5 * MS))
+        pool.submit(Task("next", synthetic_duration_ns=5 * MS))
+        outcomes.append(s.cancel(handed))
+
+    trace = _run(workload)
+    handed, following = _records(trace)
+    assert outcomes == [CancelOutcome.REMOVED_FROM_QUEUE]
+    assert handed.cancelled and handed.start_ns is None
+    assert (following.start_ns, following.end_ns) == (0, 5 * MS)
+    assert sum(ev.kind is EventKind.SPAWN for ev in trace.events) == 1
+
+
 def test_cancel_checking_task_stops_at_next_poll():
     outcomes = []
 
@@ -337,6 +356,14 @@ def test_negative_keep_alive_rejected():
     session = ProfilerSession(clock=VirtualClock())
     with pytest.raises(ValueError, match="keep_alive_ns"):
         session.pool_executor(core_size=1, max_size=2, keep_alive_ns=-10 * MS)
+
+
+@pytest.mark.parametrize("depth", [0, -3])
+def test_capture_depth_below_one_rejected(depth):
+    """A depth below one would fold every submission site into one
+    ``<unknown>`` context."""
+    with pytest.raises(ValueError, match="capture_depth"):
+        ProfilerSession(clock=VirtualClock(), capture_depth=depth)
 
 
 def test_system_thread_outside_lineage():

@@ -82,6 +82,22 @@ def test_timestamp_regression_rejected():
         correlate([_sched("a", 100), _start("a", 50)])
 
 
+@pytest.mark.parametrize("events, message", [
+    ([_sched("a", 0), _start("a", 1), _start("a", 2)], "unexpected Start"),
+    ([_sched("a", 0), _cancel("a", 1), _start("a", 2)], "unexpected Start"),
+    ([_sched("a", 0), _start("a", 1), _end("a", 2), _end("a", 3)],
+     "End after close"),
+    ([_sched("a", 0), _start("a", 5), _end("a", 4)], "End precedes Start"),
+    ([_sched("a", 0), _cancel("a", 1), _cancel("a", 2)], "Cancel after close"),
+    ([_sched("a", 0), _start("a", 5), _cancel("a", 4)],
+     "Cancel precedes Start"),
+], ids=["start-twice", "start-after-cancel", "end-twice", "end-before-start-ts",
+        "cancel-twice", "cancel-before-start-ts"])
+def test_lifecycle_out_of_order_rejected(events, message):
+    with pytest.raises(OrderViolation, match=message):
+        correlate(events)
+
+
 def test_cancel_while_queued_leaves_no_start():
     (rec,) = correlate([_sched("a", 0), _cancel("a", 10)])
     assert rec.cancelled

@@ -154,6 +154,10 @@ def _repeated_events():
     (6, 9, "x", "is_main must be 0 or 1, got 'x'"),
     (8, 10, "m:f:1;a%2", "truncated escape near '2'"),
     (7, 5, "BOGUS", "unknown mechanism 'BOGUS'"),
+    (8, 8, "7", "main thread cannot have a parent"),
+    (6, 5, "_", "START requires mechanism and task_key"),
+    (7, 6, "_", "END requires mechanism and task_key"),
+    (3, 10, "_", "Schedule requires a context"),
 ])
 def test_bad_field_after_cached_values_positioned(line_no, field, value, message):
     """A field whose earlier occurrences decoded and were cached still
