@@ -15,7 +15,7 @@ from .analyzer import HeuristicConfig
 from .clock import RealMonotonicClock, VirtualClock
 from .report import build_report, render_json, render_text, write_histogram_csvs
 from .scenarios import SCENARIOS, UnknownScenario, run_scenario
-from .tracelog import TraceLogError, read_trace, write_trace
+from .tracelog import TraceLogError, count_contexts, parse_trace, write_trace
 
 EXIT_OK = 0
 EXIT_EXPECTATION = 1
@@ -133,16 +133,23 @@ def _cmd_analyze(args) -> int:
     cfg = _load_config(args.config)
     timer = _StageTimer() if args.timings else None
     sessions = []
+    read = contexts = 0
     for path in args.traces:
         try:
-            sessions.append(read_trace(path))
+            with open(path, "rb") as fh:
+                data = fh.read()
         except OSError as exc:
             raise _DataError(f"cannot read {path}: {exc.strerror}") from exc
+        try:
+            sessions.append(parse_trace(data))
         except TraceLogError as exc:
             raise _DataError(f"{path}: {exc}") from exc
+        read += len(data)
+        contexts += count_contexts(data)
     if timer is not None:
         timer.lap("read+parse", files=len(sessions),
-                  events=sum(len(s.events) for s in sessions))
+                  events=sum(len(s.events) for s in sessions),
+                  bytes=read, contexts=contexts)
     report = build_report(sessions, cfg=cfg)
     if timer is not None:
         timer.lap("build", rows=len(report.rows))

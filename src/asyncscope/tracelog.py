@@ -2,7 +2,13 @@
 
 One record per line, '|'-separated fields, ';'-separated context frames,
 percent escaping for the delimiter characters. UTF-8, LF line endings.
-The format is versioned by the `PD1` prefix.
+The format is versioned by the `PD2` prefix; a stream of any other
+version is rejected at its header.
+
+A session's Schedule events share few distinct contexts, so each context
+is written once: a `PD2|CTX|<id>|<frames>` line defines it just before
+the first Schedule that uses it, ids count up from 0 in that order, and
+a Schedule's context field holds only the id.
 """
 
 from __future__ import annotations
@@ -16,10 +22,12 @@ from .trace_model import (
     TraceSession,
 )
 
-MAGIC = "PD1"
+MAGIC = "PD2"
 FILE_EXTENSION = ".pdt"
 
-_EVENT_FIELDS = 12  # PD1|EV|seq|ts|kind|mech|key|tid|ptid|is_main|context|detail
+_EVENT_FIELDS = 12  # PD2|EV|seq|ts|kind|mech|key|tid|ptid|is_main|context id|detail
+_CONTEXT_FIELDS = 4  # PD2|CTX|id|frames
+_CTX = f"{MAGIC}|CTX|"
 
 
 class TraceLogError(Exception):
@@ -78,48 +86,54 @@ def _opt(value: str | None) -> str:
     return "_" if value is None else _escape(value)
 
 
-def encode_event(event: TaskEvent, seq: int) -> str:
-    """Serialize one event to its log line (without the newline)."""
-    if event.context is not None:
-        context = ";".join(_escape(f) for f in event.context.frames)
-    else:
-        context = "_"
-    thread = event.thread
-    return "|".join(
-        (
-            MAGIC,
-            "EV",
-            str(seq),
-            str(event.timestamp_ns),
-            event.kind.value,
-            event.mechanism.value if event.mechanism is not None else "_",
-            _opt(event.task_key),
-            str(thread.thread_id),
-            "_" if thread.parent_thread_id is None else str(thread.parent_thread_id),
-            "1" if thread.is_main else "0",
-            context,
-            _opt(event.detail),
-        )
-    )
-
-
 def encode_session(session: TraceSession) -> bytes:
-    """Serialize a whole session; deterministic bytes, LF terminated lines."""
+    """Serialize a whole session; deterministic bytes, LF terminated lines.
+
+    Each context's frames and each thread's three fields are formatted
+    once per session, and the kind and mechanism tags are read from the
+    members' `_value_`. Contexts are numbered by value, so equal contexts
+    share one id whatever their identity, and the bytes depend only on the
+    session's value. The `id()` keys are sound because the session holds
+    every context and thread alive while it is encoded.
+    """
     lines = [
-        "|".join(
-            (
-                MAGIC,
-                "SESSION",
-                _escape(session.session_id),
-                _escape(session.config_label),
-                str(session.clock_origin_ns),
-            )
-        )
+        f"{MAGIC}|SESSION|{_escape(session.session_id)}|"
+        f"{_escape(session.config_label)}|{session.clock_origin_ns}"
     ]
-    lines.extend(
-        encode_event(event, seq) for seq, event in enumerate(session.events, start=1)
-    )
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    append = lines.append
+    context_ids: dict[tuple[str, ...], str] = {}  # frames -> id text
+    by_object: dict[int, str] = {}  # id(context) -> id text
+    threads: dict[int, str] = {}  # id(thread) -> its three fields
+    for seq, (ts, kind, mech, key, thread, context, detail) in enumerate(
+            session.events, start=1):
+        thread_text = threads.get(id(thread))
+        if thread_text is None:
+            parent = thread.parent_thread_id
+            thread_text = threads[id(thread)] = (
+                f"{thread.thread_id}|{'_' if parent is None else parent}|"
+                f"{'1' if thread.is_main else '0'}")
+        if context is None:
+            context_text = "_"
+        else:
+            context_text = by_object.get(id(context))
+            if context_text is None:
+                frames = context.frames
+                context_text = context_ids.get(frames)
+                if context_text is None:
+                    context_text = context_ids[frames] = str(len(context_ids))
+                    append(f"{_CTX}{context_text}|{';'.join(map(_escape, frames))}")
+                by_object[id(context)] = context_text
+        mech_text = "_" if mech is None else mech._value_
+        append(f"{MAGIC}|EV|{seq}|{ts}|{kind._value_}|{mech_text}|{_opt(key)}|"
+               f"{thread_text}|{context_text}|{_opt(detail)}")
+    lines.append("")
+    return "\n".join(lines).encode("utf-8")
+
+
+def count_contexts(data: bytes) -> int:
+    """How many contexts a stream that parses defines: fields escape every
+    newline, so each CTX record, and only it, starts a line this way."""
+    return data.count(f"\n{_CTX}".encode())
 
 
 def _parse_int(text: str, what: str, line_no: int, minimum: int = 0) -> int:
@@ -148,41 +162,57 @@ def _decode_thread(tid: str, ptid: str, is_main: str, line_no: int) -> ThreadIde
         raise MalformedLine(str(exc), line_no) from None
 
 
-def _decode_context(text: str, line_no: int) -> ExecutionContext | None:
-    if text == "_":
-        return None
+def _decode_context(fields: list[str], next_id: str, line_no: int) -> ExecutionContext:
+    """Decode a CTX record, which must define the next id in order."""
+    if len(fields) != _CONTEXT_FIELDS:
+        raise MalformedLine(
+            f"expected {_CONTEXT_FIELDS} fields in a CTX record, got {len(fields)}",
+            line_no)
+    if fields[2] != next_id:
+        raise MalformedLine(
+            f"context id {fields[2]!r} out of order, expected {next_id}", line_no)
     return ExecutionContext(
-        tuple(_unescape(frame, line_no) for frame in text.split(";"))
-    )
+        tuple(_unescape(frame, line_no) for frame in fields[3].split(";")))
 
 
 def _parse_events(lines: list[str]) -> list[TaskEvent]:
-    """Decode the event lines that follow the header (line 2 onwards).
+    """Decode the CTX and EV lines that follow the header (line 2 onwards).
 
-    Thread and context fields repeat across a trace, so each distinct text
-    is decoded once and its value shared. Decoding is a pure function of
-    the text: a cache hit skips only checks that already passed, and every
-    failure is still raised at the line that holds it.
+    A context reference is resolved by looking its exact text up in the
+    table of ids defined so far, never by reading it as a number. Each
+    distinct thread field is decoded once and its value shared. Decoding
+    is a pure function of the text: a cache hit skips only checks that
+    already passed, and every failure is still raised at the line that
+    holds it.
     """
     SPAWN, SCHEDULE = EventKind.SPAWN, EventKind.SCHEDULE
     threads: dict[tuple[str, str, str], ThreadIdentity] = {}
-    contexts: dict[str, ExecutionContext | None] = {}
+    contexts: dict[str, ExecutionContext | None] = {"_": None}
     events: list[TaskEvent] = []
     append = events.append
     make = TaskEvent._make
     last_seq = 0
     for line_no, line in enumerate(lines, start=2):
         fields = line.split("|")
-        if len(fields) < 2 or fields[0] != MAGIC or fields[1] != "EV":
-            raise MalformedLine("not a PD1|EV record", line_no)
-        if len(fields) != _EVENT_FIELDS:
-            raise MalformedLine(
-                f"expected {_EVENT_FIELDS} fields, got {len(fields)}", line_no
-            )
+        if len(fields) != _EVENT_FIELDS or fields[1] != "EV" or fields[0] != MAGIC:
+            if fields[0] != MAGIC or fields[1:2] not in (["EV"], ["CTX"]):
+                raise MalformedLine(f"not a {MAGIC}|EV or {MAGIC}|CTX record", line_no)
+            if fields[1] == "EV":
+                raise MalformedLine(
+                    f"expected {_EVENT_FIELDS} fields, got {len(fields)}", line_no)
+            next_id = str(len(contexts) - 1)
+            contexts[next_id] = _decode_context(fields, next_id, line_no)
+            continue
         (_, _, seq_text, ts_text, kind_text, mech_text, key,
          tid, ptid, is_main, ctx_text, detail) = fields
-        seq = _parse_int(seq_text, "seq", line_no, minimum=1)
-        ts = _parse_int(ts_text, "timestamp", line_no)
+        try:
+            seq = int(seq_text)
+            ts = int(ts_text)
+        except ValueError:
+            seq = ts = -1
+        if seq < 1 or ts < 0:  # _parse_int raises the positioned error
+            seq = _parse_int(seq_text, "seq", line_no, minimum=1)
+            ts = _parse_int(ts_text, "timestamp", line_no)
         kind = _KINDS.get(kind_text)
         if kind is None:
             raise UnknownKind(f"unknown event kind {kind_text!r}", line_no)
@@ -204,7 +234,7 @@ def _parse_events(lines: list[str]) -> list[TaskEvent]:
 
         ctx = contexts.get(ctx_text, False)
         if ctx is False:
-            ctx = contexts[ctx_text] = _decode_context(ctx_text, line_no)
+            raise MalformedLine(f"unknown context id {ctx_text!r}", line_no)
         if kind is SCHEDULE:
             if ctx is None:
                 raise MalformedLine("Schedule requires a context", line_no)
@@ -236,8 +266,11 @@ def parse_trace(data: bytes) -> TraceSession:
         raise MissingHeader("empty stream")
 
     header = lines[0].split("|")
+    if header[1:2] == ["SESSION"] and header[0] != MAGIC:
+        raise MissingHeader(
+            f"trace version {header[0]!r} is not read; this reader takes {MAGIC}", 1)
     if len(header) != 5 or header[0] != MAGIC or header[1] != "SESSION":
-        raise MissingHeader("stream does not begin with a PD1|SESSION header")
+        raise MissingHeader(f"stream does not begin with a {MAGIC}|SESSION header")
     session_id = _unescape(header[2], 1)
     config_label = _unescape(header[3], 1)
     clock_origin_ns = _parse_int(header[4], "clock_origin_ns", 1)

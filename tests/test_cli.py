@@ -133,6 +133,10 @@ def test_analyze_timings_change_no_output(trace_file, tmp_path, capsys, fmt):
     stages = [line.split()[2] for line in timed.err.splitlines()]
     assert stages == ["read+parse", "build", "render", "write"]
     assert "files=2 events=" in timed.err
+    data = trace_file.read_bytes()
+    defined = data.count(b"\nPD2|CTX|")
+    assert defined >= 1
+    assert f" bytes={2 * len(data)} contexts={2 * defined}\n" in timed.err
     assert f"bytes={len(plain.out.encode())}" in timed.err
 
     out_plain, out_timed = tmp_path / "plain", tmp_path / "timed"
@@ -144,7 +148,7 @@ def test_analyze_timings_change_no_output(trace_file, tmp_path, capsys, fmt):
 
 def test_analyze_corrupt_trace(tmp_path, capsys):
     path = tmp_path / "junk.pdt"
-    path.write_bytes(b"PD1|SESSION|x|y|0\nPD1|EV|1|oops\n")
+    path.write_bytes(b"PD2|SESSION|x|y|0\nPD2|EV|1|oops\n")
     assert main(["analyze", str(path)]) == EXIT_DATA
     assert "junk.pdt" in capsys.readouterr().err
 

@@ -450,10 +450,15 @@ def test_real_call_at_runs_on_one_timekeeper_thread():
         threads.add(threading.current_thread())
         counts.append(threading.active_count())
 
+    # An action due first holds the timekeeper until all 200 are posted:
+    # on a loaded host, posting can outlast their 100 ms lead.
+    posted = threading.Event()
     base = session.clock.now_ns() + 100 * MS
+    session.call_at(base - MS, lambda: posted.wait(timeout=10))
     for i in range(200):
         due = base + (9 - i % 10) * MS
         session.call_at(due, lambda due=due, i=i: action(due, i))
+    posted.set()
     assert threading.active_count() <= before + 1
     session.drain(timeout_s=10)
     assert ran == sorted(ran) and len(ran) == 200
