@@ -145,7 +145,8 @@ def _cmd_analyze(args) -> int:
         except TraceLogError as exc:
             raise _DataError(f"{path}: {exc}") from exc
         read += len(data)
-        contexts += count_contexts(data)
+        if timer is not None:
+            contexts += count_contexts(data)
     if timer is not None:
         timer.lap("read+parse", files=len(sessions),
                   events=sum(len(s.events) for s in sessions),

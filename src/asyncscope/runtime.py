@@ -9,9 +9,10 @@ under the real clock each worker is an actual thread.
 
 A session has one lock, which guards every executor's policy state,
 every task's status, the task-key counters and the outstanding-task
-count, and one event log, a list that every thread appends to. Drain
-copies the log once and sorts it stably by timestamp, so events at the
-same time keep the order in which they were emitted.
+count, and one event log, a list that every thread appends to. Each
+event is built once, as the trace's own ``TaskEvent``; drain copies the
+log once and sorts it stably by timestamp, so events at the same time
+keep the order in which they were emitted.
 """
 
 from __future__ import annotations
@@ -61,6 +62,17 @@ class _InternalTest(dict):
 
 
 _is_internal = _InternalTest()
+
+# A context whose frames drain fills in: no formatting and no dataclass
+# __init__ on the submission path.
+_blank_context = partial(object.__new__, ExecutionContext)
+# Builds an event as namedtuple's own __new__ does, minus its Python call.
+_tuple_new = tuple.__new__
+# The kinds logged on a task's path. Reading a member off an Enum class
+# goes through EnumType's __getattr__ hook: about 0.1 us a read (Python
+# 3.11.7, 2 vCPUs).
+_SPAWN, _SCHEDULE, _START, _END = (
+    EventKind.SPAWN, EventKind.SCHEDULE, EventKind.START, EventKind.END)
 
 # CO_GENERATOR | CO_COROUTINE | CO_ASYNC_GENERATOR: such a frame's caller
 # changes each time it resumes, so it is never a capture anchor.
@@ -246,7 +258,7 @@ class ProfilerSession:
         self.emit_events = emit_events
         self.drain_timeout_s = drain_timeout_s
         self._closed = False
-        self._events: list[tuple] = []
+        self._events: list[TaskEvent] = []
         self._tls = threading.local()
         self._next_tid = itertools.count(1).__next__
         # Guards policy state, task status, key counters and _outstanding.
@@ -262,16 +274,17 @@ class ProfilerSession:
         self._outstanding = 0
         # The capture anchor (frame, its callers' triples, capture depth,
         # and the contexts captured through it, keyed by the triples walked
-        # below it), the last walk's (id, code) of its second user frame, the number
-        # of full walks, and the table interning each context returned, a
-        # dict from a tuple to itself; see _capture_context. _assemble
-        # empties the table into _made: an ExecutionContext per interned
-        # tuple, keyed by the tuple's id.
+        # below it), the last walk's (id, code) of its second user frame,
+        # the number of full walks, the table from each distinct triples
+        # tuple to the one ExecutionContext that every Schedule of it
+        # carries, and the blank context that the next new tuple takes;
+        # see _capture_context. _assemble fills in the frames of the
+        # table's contexts and empties it.
         self._anchor = _NO_ANCHOR
         self._second = None
         self._walks = 0
-        self._contexts: dict[tuple, tuple] = {}
-        self._made: dict[int, ExecutionContext] = {}
+        self._contexts: dict[tuple, ExecutionContext] = {}
+        self._blank = _blank_context()
         self._services: dict[str, SerialQueueExecutor] = {}
         self._facade: AsyncFacade | None = None
         if self.clock.mode is ClockMode.VIRTUAL:
@@ -297,7 +310,7 @@ class ProfilerSession:
         if self._closed:
             raise SessionClosed("session is closed")
         ident = ThreadIdentity(self._next_tid(), parent.thread_id, False)
-        self._emit(EventKind.SPAWN, None, None, ident, None, None)
+        self._emit(_SPAWN, None, None, ident, None)
         return ident
 
     @contextmanager
@@ -328,13 +341,13 @@ class ProfilerSession:
 
     # -- event emission ----------------------------------------------------
 
-    def _emit(self, kind, mechanism, task_key, thread, context, detail) -> None:
-        if not self.emit_events:
-            return
-        self._events.append(
-            (self.clock.now_ns(), kind, mechanism, task_key, thread, context,
-             detail)
-        )
+    def _emit(self, kind, mechanism, task_key, thread, detail) -> None:
+        """Log a Spawn, End or Cancel; Schedule and Start are logged inline
+        where they happen, one Python call fewer on each task's path."""
+        if self.emit_events:
+            self._events.append(_tuple_new(TaskEvent, (
+                self.clock.now_ns(), kind, mechanism, task_key, thread, None,
+                detail)))
 
     @property
     def capture_walks(self) -> int:
@@ -342,23 +355,26 @@ class ProfilerSession:
         reusing the anchor's callers. Not written to the trace."""
         return self._walks
 
-    def _capture_context(self) -> tuple:
-        """Raw (module, symbol, line) triples, innermost first.
+    def _capture_context(self) -> ExecutionContext:
+        """The caller's context: the session's ExecutionContext for its raw
+        (module, symbol, line) triples, innermost first.
 
-        Formatting is deferred to drain to keep the submission path cheap.
-        While a plain function frame runs, its callers and their lines
-        cannot change, so a loop that submits need not walk them again.
-        The session keeps one anchor: a live frame, held so that its
-        identity cannot be reused, with its callers' triples. A walk whose
-        first or second user frame is the anchor takes that frame's own
-        triple and reuses the rest, or, when the triples it walked repeat,
-        the context they gave before. Any other walk goes to the end, and
-        adopts its second user frame as the anchor when the walk before
-        it had the same one; an adopting walk takes one user frame more,
-        for the anchor's callers. Each context returned is interned in the
-        session, so a repeat shares one tuple, and the triples just built
-        for it die at once. Called with the lock held; drain releases the
-        anchor and the intern table.
+        Its frames are left empty until drain formats them, to keep the
+        submission path cheap. While a plain function frame runs, its
+        callers and their lines cannot change, so a loop that submits need
+        not walk them again. The session keeps one anchor: a live frame,
+        held so that its identity cannot be reused, with its callers'
+        triples. A walk whose first or second user frame is the anchor
+        takes that frame's own triple and reuses the rest, or, when the
+        triples it walked repeat, the context they gave before. Any other
+        walk goes to the end, and adopts its second user frame as the
+        anchor when the walk before it had the same one; an adopting walk
+        takes one user frame more, for the anchor's callers. The session's
+        table gives each distinct triples tuple one context, so a repeat
+        returns the same object and the triples just built for it die at
+        once; a new tuple takes the blank context in one ``setdefault``,
+        which hashes the tuple once. Called with the lock held; drain
+        releases the anchor and the table.
         """
         depth = self.capture_depth
         anchor, callers, anchor_depth, known = self._anchor
@@ -376,8 +392,11 @@ class ProfilerSession:
                         context = inner + callers
                         if len(context) > depth:
                             context = context[:depth]
+                        blank = self._blank
                         context = known[inner] = self._contexts.setdefault(
-                            context, context)
+                            context, blank)
+                        if context is blank:
+                            self._blank = _blank_context()
                     return context
                 second = f
             f = f.f_back
@@ -401,7 +420,11 @@ class ProfilerSession:
         if tail > depth:
             self._anchor = (second, context[2:], depth, {})
             context = context[:depth]
-        return self._contexts.setdefault(context, context)
+        blank = self._blank
+        context = self._contexts.setdefault(context, blank)
+        if context is blank:
+            self._blank = _blank_context()
+        return context
 
     # -- task lifecycle ------------------------------------------------------
 
@@ -420,9 +443,11 @@ class ProfilerSession:
                            task, mechanism, requester, owner)
         self._tasks[state.key] = state
         self._outstanding += 1
-        context = self._capture_context() if self.emit_events else None
-        self._emit(EventKind.SCHEDULE, mechanism, state.key, requester,
-                   context, task.label)
+        if self.emit_events:
+            context = self._capture_context()
+            self._events.append(_tuple_new(TaskEvent, (
+                self.clock.now_ns(), _SCHEDULE, mechanism, state.key,
+                requester, context, task.label)))
         return state
 
     def _begin(self, state: _TaskState, worker: "_Worker") -> bool:
@@ -433,9 +458,11 @@ class ProfilerSession:
                 return False
             state.status = _Status.RUNNING
             state.worker = worker
-            state.start_ns = self.clock.now_ns()
-        self._emit(EventKind.START, state.mechanism, state.key, worker.ident,
-                   None, None)
+            state.start_ns = start_ns = self.clock.now_ns()
+        if self.emit_events:
+            self._events.append(_tuple_new(TaskEvent, (
+                start_ns, _START, state.mechanism, state.key,
+                worker.ident, None, None)))
         return True
 
     def _finish(self, state: _TaskState, worker: "_Worker",
@@ -447,7 +474,7 @@ class ProfilerSession:
                 self._settle(state, _Status.CANCELLED, EventKind.CANCEL,
                              worker.ident, "cancelled while running")
             else:
-                self._settle(state, _Status.DONE, EventKind.END, worker.ident,
+                self._settle(state, _Status.DONE, _END, worker.ident,
                              None)
             return state.owner._next_task(worker)
 
@@ -463,7 +490,7 @@ class ProfilerSession:
         done; called with the lock held, so the event is in the log before
         wait_idle can see the count reach zero."""
         state.status = status
-        self._emit(kind, state.mechanism, state.key, thread, None, detail)
+        self._emit(kind, state.mechanism, state.key, thread, detail)
         self._outstanding -= 1
         if self._outstanding == 0:
             self._quiesce.notify_all()
@@ -596,30 +623,23 @@ class ProfilerSession:
         return session
 
     def _assemble(self) -> TraceSession:
+        """The log is the trace: its events are handed out as they were
+        built, in a stably sorted copy, and only the contexts' frames are
+        filled in. No capture follows the first drain, so its table is
+        complete, and a later drain finds every context filled in."""
         # One slice is a consistent copy even while real workers append;
         # the stable sort keeps emission order among equal timestamps.
-        raw = self._events[:]
-        raw.sort(key=itemgetter(0))
-        # Every context in the log is an interned tuple, which the log
-        # keeps alive, so its id names it and no event's tuple is hashed.
-        # No capture follows the first drain, whose table is complete.
-        made = self._made
-        for triples in self._contexts:
-            made[id(triples)] = ExecutionContext(
-                tuple(f"{m}:{s}:{line}" for m, s, line in triples))
+        events = self._events[:]
+        events.sort(key=itemgetter(0))
+        for triples, context in self._contexts.items():
+            object.__setattr__(context, "frames", tuple(
+                f"{m}:{s}:{line}" for m, s, line in triples))
         self._contexts = {}
-        make = TaskEvent._make
-        events = tuple(
-            make((ts, kind, mech, key, thread,
-                  made[id(context)] if context is not None else None,
-                  detail))
-            for ts, kind, mech, key, thread, context, detail in raw
-        )
         return TraceSession(
             session_id=self.session_id,
             config_label=self.config_label,
             clock_origin_ns=self.clock.origin_ns,
-            events=events,
+            events=tuple(events),
         )
 
 

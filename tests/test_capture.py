@@ -1,11 +1,14 @@
 """Context capture: the anchored walk against the uncached walk it
-replaces, the interning of what it returns, and the anchor's lifetime.
+replaces, the interning of what it returns, the frames drain fills in,
+and the anchor's lifetime.
 
 ``OracleSession`` computes, at every submission, both the session's
 capture and the plain walk below from the same frame, and records any
 difference. The plain walk, with its ``startswith`` module test, is the
 reference and lives only here.
 """
+
+from collections import Counter
 
 import sys
 import threading
@@ -21,7 +24,7 @@ from asyncscope.runtime import (
     ProfilerSession,
     Task,
 )
-from asyncscope.trace_model import EventKind
+from asyncscope.trace_model import EventKind, TaskEvent
 
 MS = 1_000_000
 
@@ -38,12 +41,16 @@ def uncached_walk(f, depth):
     return tuple(frames)
 
 
+def formatted(triples):
+    return tuple(f"{module}:{symbol}:{line}" for module, symbol, line in triples)
+
+
 class OracleSession(ProfilerSession):
     def __init__(self, **kwargs):
         super().__init__(**kwargs)
         self.captures = 0
         self.mismatches = []
-        self.returned = []
+        self.returned = []  # (context, the uncached walk's triples)
 
     def _capture_context(self):
         # Frame 2 is what the session's own capture starts from when
@@ -52,8 +59,11 @@ class OracleSession(ProfilerSession):
         want = uncached_walk(sys._getframe(2), self.capture_depth)
         got = super()._capture_context()
         self.captures += 1
-        self.returned.append(got)
-        if got != want:
+        self.returned.append((got, want))
+        # The session's table holds one context per distinct triples, so
+        # the context returned is the walk's exactly when the table maps
+        # the walk's triples to it. Its frames are filled in at drain.
+        if self._contexts.get(want) is not got:
             self.mismatches.append((got, want))
         return got
 
@@ -216,9 +226,11 @@ def test_capture_equals_uncached_walk(case, depth):
     session.drain()
     assert session.captures > 0
     assert session.mismatches == []
-    # Equal contexts are one interned tuple.
-    returned = session.returned
-    assert len({id(c) for c in returned}) == len(set(returned))
+    assert all(context.frames == formatted(want)
+               for context, want in session.returned)
+    # Equal walks share one context.
+    assert len({id(c) for c, _ in session.returned}) == \
+        len({want for _, want in session.returned})
 
 
 def test_module_test_agrees_with_startswith():
@@ -226,8 +238,8 @@ def test_module_test_agrees_with_startswith():
     foreign(session)
     session.drain()
     assert session.mismatches == []
-    modules = {module for context in session.returned
-               for module, _, _ in context}
+    modules = {frame.rsplit(":", 2)[0] for context, _ in session.returned
+               for frame in context.frames}
     # "asyncscope.runtime_helpers" starts with "asyncscope.runtime".
     assert "asyncscope.runtime_helpers" not in modules
     assert {"asyncscope", "?"} <= modules
@@ -240,8 +252,8 @@ def test_one_line_returns_one_tuple(case):
     case(session)
     session.drain()
     by_line = {}
-    for context in session.returned:
-        by_line.setdefault(context[0][2], []).append(context)
+    for context, _ in session.returned:
+        by_line.setdefault(context.frames[0], []).append(context)
     for contexts in by_line.values():
         assert len(contexts) > 1
         assert all(c is contexts[0] for c in contexts)
@@ -298,9 +310,57 @@ def test_capture_equals_uncached_walk_on_concurrent_submitters():
     finally:
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
-    session.drain(timeout_s=60)
+    trace = session.drain(timeout_s=60)
     assert session.captures == n_threads * per_thread
     assert session.mismatches == []
+    check_drained(session, trace)
+
+
+def check_drained(session, trace):
+    """The trace's events are TaskEvents, and its Schedules carry the
+    contexts the session captured, one Schedule per capture, each with its
+    walk's formatted frames and one object per distinct frames."""
+    assert all(type(ev) is TaskEvent for ev in trace.events)
+    contexts = [ev.context for ev in trace.events
+                if ev.kind is EventKind.SCHEDULE]
+    assert Counter(map(id, contexts)) == \
+        Counter(id(context) for context, _ in session.returned)
+    assert all(context.frames == formatted(want)
+               for context, want in session.returned)
+    assert all(type(frame) is str for context in contexts
+               for frame in context.frames)
+    assert len({id(c) for c in contexts}) == len({c.frames for c in contexts})
+
+
+@pytest.mark.parametrize("clock", [VirtualClock, RealMonotonicClock],
+                         ids=["virtual", "real"])
+def test_drained_schedules_carry_formatted_contexts(clock):
+    session = OracleSession(clock=clock())
+    two_lines(session)
+    alternating(session)
+    trace = session.drain(timeout_s=10)
+    assert session.mismatches == []
+    check_drained(session, trace)
+
+
+@pytest.mark.parametrize("clock", [VirtualClock, RealMonotonicClock],
+                         ids=["virtual", "real"])
+def test_partial_session_carries_formatted_contexts(clock):
+    session = OracleSession(clock=clock())
+    release = threading.Event()
+    loop(session)
+    if clock is VirtualClock:
+        stuck = Task("stuck", synthetic_duration_ns=None)
+    else:
+        stuck = Task("stuck", body=lambda token: release.wait(10))
+    session.spawn_thread(stuck)
+    try:
+        with pytest.raises(DrainTimeout) as exc_info:
+            session.drain(timeout_s=0.5)
+    finally:
+        release.set()
+    assert session.mismatches == []
+    check_drained(session, exc_info.value.session)
 
 
 def test_capture_walks_counts_full_walks_only():
@@ -360,8 +420,9 @@ def test_anchor_released_at_drain_timeout():
 
 
 def test_a_second_drain_gives_the_same_contexts():
-    """The first drain consumes the intern table; a second one, after a
-    timeout, still finds each Schedule's context."""
+    """The first drain fills in and empties the context table; a second
+    one, after a timeout, hands out the same events, built once, with
+    each Schedule's context."""
     session = ProfilerSession(clock=VirtualClock())
     loop(session)
     session.spawn_thread(Task("forever", synthetic_duration_ns=None))
@@ -370,7 +431,8 @@ def test_a_second_drain_gives_the_same_contexts():
         with pytest.raises(DrainTimeout) as exc_info:
             session.drain(timeout_s=1.0)
         traces.append(exc_info.value.session)
-    first, second = ([ev.context for ev in trace.events
-                      if ev.kind is EventKind.SCHEDULE] for trace in traces)
-    assert len(first) == 21
+    first, second = (trace.events for trace in traces)
     assert all(a is b for a, b in zip(first, second, strict=True))
+    contexts = [ev.context for ev in first if ev.kind is EventKind.SCHEDULE]
+    assert len(contexts) == 21
+    assert all(context.frames for context in contexts)
