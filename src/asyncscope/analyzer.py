@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .trace_model import (
     ExecutionContext,
@@ -78,9 +78,7 @@ class HeuristicConfig:
     @classmethod
     def from_file(cls, path) -> "HeuristicConfig":
         """Load overrides from a flat key=value file; unknown keys error."""
-        fields = {f: int if f in ("abs_latency_warn_ns", "abs_anr_ns", "min_samples")
-                  else float
-                  for f in cls.__dataclass_fields__}
+        parsers = {f.name: type(f.default) for f in fields(cls)}
         overrides = {}
         with open(path, "r", encoding="utf-8") as fh:
             for line_no, raw in enumerate(fh, start=1):
@@ -89,10 +87,10 @@ class HeuristicConfig:
                     continue
                 key, sep, value = line.partition("=")
                 key = key.strip()
-                if not sep or key not in fields:
+                if not sep or key not in parsers:
                     raise ValueError(f"{path}:{line_no}: bad config line {raw!r}")
                 try:
-                    overrides[key] = fields[key](value.strip())
+                    overrides[key] = parsers[key](value.strip())
                 except ValueError:
                     raise ValueError(
                         f"{path}:{line_no}: bad value for {key}: {value.strip()!r}"

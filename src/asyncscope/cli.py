@@ -23,15 +23,8 @@ EXIT_DATA = 2
 EXIT_USAGE = 3
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
         prog="asyncscope",
         description="profile and diagnose asynchronous task execution",
     )
@@ -39,9 +32,7 @@ def _build_parser() -> _Parser:
 
     demo = sub.add_parser(
         "demo", help="run a registered scenario and print its report",
-        parents=[], add_help=True,
     )
-    demo.error = parser.error  # type: ignore[method-assign]
     demo.add_argument("scenario", help="scenario name (see `asyncscope list`)")
     demo.add_argument("--config", help="heuristic threshold overrides (key=value file)")
     demo.add_argument("--out", help="also write the captured trace to this .pdt file")
@@ -49,7 +40,6 @@ def _build_parser() -> _Parser:
     analyze = sub.add_parser(
         "analyze", help="analyze one or more recorded .pdt traces",
     )
-    analyze.error = parser.error  # type: ignore[method-assign]
     analyze.add_argument("traces", nargs="+", metavar="trace.pdt")
     analyze.add_argument("--config", help="heuristic threshold overrides (key=value file)")
     analyze.add_argument("--format", choices=("text", "json"), default="text")
@@ -59,8 +49,7 @@ def _build_parser() -> _Parser:
     analyze.add_argument("--timings", action="store_true",
                          help="print each stage's wall time and counts to stderr")
 
-    lister = sub.add_parser("list", help="list registered scenarios")
-    lister.error = parser.error  # type: ignore[method-assign]
+    sub.add_parser("list", help="list registered scenarios")
     return parser
 
 

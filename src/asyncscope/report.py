@@ -87,8 +87,7 @@ def build_report(
     if cfg is None:
         cfg = HeuristicConfig()
     config_entries = []
-    contexts: list[tuple[str, ...]] = []
-    context_index: dict[tuple[str, ...], int] = {}
+    context_index: dict[tuple[str, ...], int] = {}  # insertion-ordered
     rows: list[ReportRow] = []
     histograms = []
     for config_i, session in enumerate(sessions):
@@ -99,10 +98,7 @@ def build_report(
         lineage = build_lineage(session.events)
         kept = filter_ui_triggered(records, lineage)
         for context, group in group_by_context(kept).items():
-            if context.frames not in context_index:
-                context_index[context.frames] = len(contexts)
-                contexts.append(context.frames)
-            ctx_i = context_index[context.frames]
+            ctx_i = context_index.setdefault(context.frames, len(context_index))
             stats, queuing_values, latency_values = stats_and_durations(group)
             warnings = tuple(detect_anomalies(stats, cfg))
             ref = f"{config_i}-{ctx_i}"
@@ -127,7 +123,7 @@ def build_report(
     return DiagnosisReport(
         config_entries=tuple(config_entries),
         rows=tuple(rows),
-        contexts=tuple(contexts),
+        contexts=tuple(context_index),
         histograms=tuple(histograms),
     )
 

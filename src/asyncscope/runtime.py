@@ -71,8 +71,9 @@ _tuple_new = tuple.__new__
 # The kinds logged on a task's path. Reading a member off an Enum class
 # goes through EnumType's __getattr__ hook: about 0.1 us a read (Python
 # 3.11.7, 2 vCPUs).
-_SPAWN, _SCHEDULE, _START, _END = (
-    EventKind.SPAWN, EventKind.SCHEDULE, EventKind.START, EventKind.END)
+_SPAWN, _SCHEDULE, _START, _END, _CANCEL = (
+    EventKind.SPAWN, EventKind.SCHEDULE, EventKind.START, EventKind.END,
+    EventKind.CANCEL)
 
 # CO_GENERATOR | CO_COROUTINE | CO_ASYNC_GENERATOR: such a frame's caller
 # changes each time it resumes, so it is never a capture anchor.
@@ -168,27 +169,21 @@ class Task:
             raise ValueError("synthetic_duration_ns must be non-negative")
 
 
-class _Status(enum.Enum):
-    PENDING = 0
-    RUNNING = 1
-    DONE = 2
-    CANCELLED = 3
-
-
 class _TaskState:
     __slots__ = (
-        "key", "task", "mechanism", "requested_by", "owner", "status",
-        "token", "start_ns", "worker",
+        "key", "task", "mechanism", "owner", "status", "token", "start_ns",
+        "worker",
     )
 
     def __init__(self, key: str, task: Task, mechanism: Mechanism,
-                 requested_by: ThreadIdentity, owner: "_Executor") -> None:
+                 owner: "_Executor") -> None:
         self.key = key
         self.task = task
         self.mechanism = mechanism
-        self.requested_by = requested_by
         self.owner = owner
-        self.status = _Status.PENDING
+        # "queued", "running", "done" or "cancelled"; a DrainTimeout
+        # reports the first two as they are.
+        self.status = "queued"
         self.token = CancelToken()
         self.start_ns: int | None = None
         self.worker: _Worker | None = None
@@ -310,7 +305,9 @@ class ProfilerSession:
         if self._closed:
             raise SessionClosed("session is closed")
         ident = ThreadIdentity(self._next_tid(), parent.thread_id, False)
-        self._emit(_SPAWN, None, None, ident, None)
+        if self.emit_events:
+            self._events.append(_tuple_new(TaskEvent, (
+                self.clock.now_ns(), _SPAWN, None, None, ident, None, None)))
         return ident
 
     @contextmanager
@@ -339,15 +336,7 @@ class ProfilerSession:
         finally:
             tls.ident = prev
 
-    # -- event emission ----------------------------------------------------
-
-    def _emit(self, kind, mechanism, task_key, thread, detail) -> None:
-        """Log a Spawn, End or Cancel; Schedule and Start are logged inline
-        where they happen, one Python call fewer on each task's path."""
-        if self.emit_events:
-            self._events.append(_tuple_new(TaskEvent, (
-                self.clock.now_ns(), kind, mechanism, task_key, thread, None,
-                detail)))
+    # -- context capture ---------------------------------------------------
 
     @property
     def capture_walks(self) -> int:
@@ -429,18 +418,16 @@ class ProfilerSession:
     # -- task lifecycle ------------------------------------------------------
 
     def _register_task(self, task: Task, mechanism: Mechanism,
-                       requester: ThreadIdentity | None,
-                       key_prefix: str | None, owner: "_Executor") -> _TaskState:
-        """Key, record and announce a submitted task; called with the lock
-        held."""
+                       requester: ThreadIdentity, key_prefix: str | None,
+                       owner: "_Executor") -> _TaskState:
+        """Key, record and announce a task that ``requester`` submitted;
+        called with the lock held."""
         if self._closed:
             raise SessionClosed("session is closed")
-        if requester is None:
-            requester = self.current_thread()
         # _value_, because Enum.value is a Python-level property.
         prefix = key_prefix if key_prefix is not None else mechanism._value_
         state = _TaskState(f"{prefix}#{next(self._key_counters[prefix])}",
-                           task, mechanism, requester, owner)
+                           task, mechanism, owner)
         self._tasks[state.key] = state
         self._outstanding += 1
         if self.emit_events:
@@ -454,9 +441,9 @@ class ProfilerSession:
         """Mark a task handed to ``worker`` running, unless it was
         cancelled while it waited."""
         with self._lock:
-            if state.status is not _Status.PENDING:
+            if state.status != "queued":
                 return False
-            state.status = _Status.RUNNING
+            state.status = "running"
             state.worker = worker
             state.start_ns = start_ns = self.clock.now_ns()
         if self.emit_events:
@@ -471,11 +458,10 @@ class ProfilerSession:
         its worker runs next."""
         with self._lock:
             if cancelled:
-                self._settle(state, _Status.CANCELLED, EventKind.CANCEL,
-                             worker.ident, "cancelled while running")
+                self._settle(state, "cancelled", _CANCEL, worker.ident,
+                             "cancelled while running")
             else:
-                self._settle(state, _Status.DONE, _END, worker.ident,
-                             None)
+                self._settle(state, "done", _END, worker.ident, None)
             return state.owner._next_task(worker)
 
     def _skip(self, state: _TaskState, worker: "_Worker") -> _TaskState | None:
@@ -484,23 +470,25 @@ class ProfilerSession:
         with self._lock:
             return state.owner._next_task(worker)
 
-    def _settle(self, state: _TaskState, status: _Status, kind: EventKind,
+    def _settle(self, state: _TaskState, status: str, kind: EventKind,
                 thread: ThreadIdentity, detail: str | None) -> None:
         """Give a task its terminal status and last event, and count it
         done; called with the lock held, so the event is in the log before
         wait_idle can see the count reach zero."""
         state.status = status
-        self._emit(kind, state.mechanism, state.key, thread, detail)
+        if self.emit_events:
+            self._events.append(_tuple_new(TaskEvent, (
+                self.clock.now_ns(), kind, state.mechanism, state.key, thread,
+                None, detail)))
         self._outstanding -= 1
         if self._outstanding == 0:
             self._quiesce.notify_all()
 
     # -- submission APIs ---------------------------------------------------------
 
-    def spawn_thread(self, task: Task, requester: ThreadIdentity | None = None) -> str:
+    def spawn_thread(self, task: Task) -> str:
         """Run the task on a brand-new thread (non-reusable threading)."""
-        if requester is None:
-            requester = self.current_thread()
+        requester = self.current_thread()
         executor = self._fresh_threads
         with self._lock:
             worker = executor._new_worker(requester)
@@ -510,13 +498,11 @@ class ProfilerSession:
         return state.key
 
     def serial_executor(
-        self,
-        mechanism: Mechanism = Mechanism.HANDLER_LOOPER,
-        key_prefix: str | None = None,
+        self, mechanism: Mechanism = Mechanism.HANDLER_LOOPER,
     ) -> "SerialQueueExecutor":
         if mechanism not in _SERIAL_MECHANISMS:
             raise ValueError(f"{mechanism} is not a serial-queue mechanism")
-        return SerialQueueExecutor(self, mechanism, key_prefix)
+        return SerialQueueExecutor(self, mechanism)
 
     def pool_executor(
         self,
@@ -535,16 +521,14 @@ class ProfilerSession:
 
     def register_service(self, service_name: str) -> None:
         if service_name not in self._services:
-            self._services[service_name] = self.serial_executor(
-                Mechanism.SERIAL_SERVICE, key_prefix=f"SERVICE:{service_name}"
-            )
+            self._services[service_name] = SerialQueueExecutor(
+                self, Mechanism.SERIAL_SERVICE, f"SERVICE:{service_name}")
 
-    def dispatch_service(self, service_name: str, task: Task,
-                         requester: ThreadIdentity | None = None) -> str:
+    def dispatch_service(self, service_name: str, task: Task) -> str:
         executor = self._services.get(service_name)
         if executor is None:
             raise UnknownService(f"no service registered as {service_name!r}")
-        return executor.submit(task, requester)
+        return executor.submit(task)
 
     # -- cancellation -------------------------------------------------------------
 
@@ -553,19 +537,19 @@ class ProfilerSession:
             state = self._tasks.get(task_key)
             if state is None:
                 raise UnknownTask(f"unknown task {task_key!r}")
-            if state.status is _Status.RUNNING:
+            if state.status == "running":
                 if not state.task.cancellation_check:
                     return CancelOutcome.NOT_CANCELLABLE
                 self._engine.signal(state)
                 return CancelOutcome.SIGNALLED_RUNNING
-            if state.status is not _Status.PENDING:
+            if state.status != "queued":
                 return CancelOutcome.TOO_LATE_FINISHED
             try:
                 state.owner._pending.remove(state)
             except ValueError:
                 pass  # already handed to a worker, which will skip it
-            self._settle(state, _Status.CANCELLED, EventKind.CANCEL,
-                         self.current_thread(), "cancelled while queued")
+            self._settle(state, "cancelled", _CANCEL, self.current_thread(),
+                         "cancelled while queued")
             return CancelOutcome.REMOVED_FROM_QUEUE
 
     # -- timed actions ------------------------------------------------------------
@@ -597,9 +581,8 @@ class ProfilerSession:
             self._closed = True
             self._anchor = _NO_ANCHOR
             unfinished = [] if quiesced else [
-                (state, "running" if state.status is _Status.RUNNING else "queued")
-                for state in self._tasks.values()
-                if state.status in (_Status.PENDING, _Status.RUNNING)]
+                (state, state.status) for state in self._tasks.values()
+                if state.status in ("queued", "running")]
             actions = self._outstanding - len(unfinished)
         self._engine.stop({state.worker for state, status in unfinished
                            if status == "running"})
@@ -607,8 +590,8 @@ class ProfilerSession:
         if not quiesced:
             # Since when, read from the log here, so that the submit path
             # reads no clock for it.
-            wanted = {state.key: EventKind.START if status == "running"
-                      else EventKind.SCHEDULE for state, status in unfinished}
+            wanted = {state.key: _START if status == "running" else _SCHEDULE
+                      for state, status in unfinished}
             since = {key: ts for ts, kind, _, key, _, _, _ in self._events
                      if wanted.get(key) is kind}
             stuck = tuple((state.key, state.task.label, state.mechanism, status,
@@ -700,8 +683,8 @@ class _Pool(_Executor):
         self._nworkers += 1
         return self._new_worker(parent)
 
-    def _submit(self, task: Task, requester: ThreadIdentity | None,
-                mechanism: Mechanism, key_prefix: str | None = None) -> str:
+    def _submit(self, task: Task, mechanism: Mechanism,
+                key_prefix: str | None = None) -> str:
         with self._lock:
             if self._down:
                 error, message = self._refusal
@@ -711,13 +694,14 @@ class _Pool(_Executor):
                     and self.queue_bound is not None \
                     and len(self._pending) >= self.queue_bound:
                 raise QueueFull("pool pending queue is at its bound")
+            requester = self._session.current_thread()
             state = self._session._register_task(task, mechanism, requester,
                                                  key_prefix, self)
             if idle:
                 worker = idle.popleft()
                 worker.idle_gen += 1
             elif self._nworkers < self.max_size:
-                worker = self._add_worker(state.requested_by)
+                worker = self._add_worker(requester)
             else:
                 self._pending.append(state)
                 return state.key
@@ -763,8 +747,8 @@ class SerialQueueExecutor(_Pool):
         with self._lock:
             self._idle.append(self._add_worker(session.current_thread()))
 
-    def submit(self, task: Task, requester: ThreadIdentity | None = None) -> str:
-        return self._submit(task, requester, self.mechanism, self._key_prefix)
+    def submit(self, task: Task) -> str:
+        return self._submit(task, self.mechanism, self._key_prefix)
 
     close = _Pool._shut_down
 
@@ -776,9 +760,9 @@ class PoolExecutor(_Pool):
     ``core_size`` retire after ``keep_alive_ns`` of idleness.
     """
 
-    def submit(self, task: Task, requester: ThreadIdentity | None = None,
+    def submit(self, task: Task, *,
                mechanism: Mechanism = Mechanism.POOL_EXECUTOR) -> str:
-        return self._submit(task, requester, mechanism)
+        return self._submit(task, mechanism)
 
     shut_down = _Pool._shut_down
 
@@ -791,16 +775,14 @@ class AsyncFacade:
         self._session = session
         self._default_queue: SerialQueueExecutor | None = None
 
-    def execute_default(self, task: Task,
-                        requester: ThreadIdentity | None = None) -> str:
+    def execute_default(self, task: Task) -> str:
         if self._default_queue is None:
             self._default_queue = self._session.serial_executor(
                 Mechanism.ASYNC_FACADE)
-        return self._default_queue.submit(task, requester)
+        return self._default_queue.submit(task)
 
-    def execute_on(self, pool: PoolExecutor, task: Task,
-                   requester: ThreadIdentity | None = None) -> str:
-        return pool.submit(task, requester, mechanism=Mechanism.ASYNC_FACADE)
+    def execute_on(self, pool: PoolExecutor, task: Task) -> str:
+        return pool.submit(task, mechanism=Mechanism.ASYNC_FACADE)
 
 
 # -- engines: where and when the executors' decisions run -----------------------
@@ -984,17 +966,9 @@ class _ThreadEngine:
                 worker.thread.join(max(0.0, deadline - time.monotonic()))
 
 
-def session_run(
-    workload,
-    clock: ClockSource | None = None,
-    config_label: str = "",
-    session_id: str = "session",
-    **session_kwargs,
-) -> TraceSession:
-    """Run a workload callable against a fresh session and drain it."""
-    session = ProfilerSession(
-        clock=clock, config_label=config_label, session_id=session_id,
-        **session_kwargs,
-    )
+def session_run(workload, **session_kwargs) -> TraceSession:
+    """Run a workload callable against a fresh session, built with
+    ``session_kwargs``, and drain it."""
+    session = ProfilerSession(**session_kwargs)
     workload(session)
     return session.drain()

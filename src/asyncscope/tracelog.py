@@ -93,8 +93,8 @@ def encode_session(session: TraceSession) -> bytes:
     once per session, and the kind and mechanism tags are read from the
     members' `_value_`. Contexts are numbered by value, so equal contexts
     share one id whatever their identity, and the bytes depend only on the
-    session's value. The `id()` keys are sound because the session holds
-    every context and thread alive while it is encoded.
+    session's value. The thread table's `id()` keys are sound because the
+    session holds every thread alive while it is encoded.
     """
     lines = [
         f"{MAGIC}|SESSION|{_escape(session.session_id)}|"
@@ -102,7 +102,6 @@ def encode_session(session: TraceSession) -> bytes:
     ]
     append = lines.append
     context_ids: dict[tuple[str, ...], str] = {}  # frames -> id text
-    by_object: dict[int, str] = {}  # id(context) -> id text
     threads: dict[int, str] = {}  # id(thread) -> its three fields
     for seq, (ts, kind, mech, key, thread, context, detail) in enumerate(
             session.events, start=1):
@@ -115,14 +114,11 @@ def encode_session(session: TraceSession) -> bytes:
         if context is None:
             context_text = "_"
         else:
-            context_text = by_object.get(id(context))
+            frames = context.frames
+            context_text = context_ids.get(frames)
             if context_text is None:
-                frames = context.frames
-                context_text = context_ids.get(frames)
-                if context_text is None:
-                    context_text = context_ids[frames] = str(len(context_ids))
-                    append(f"{_CTX}{context_text}|{';'.join(map(_escape, frames))}")
-                by_object[id(context)] = context_text
+                context_text = context_ids[frames] = str(len(context_ids))
+                append(f"{_CTX}{context_text}|{';'.join(map(_escape, frames))}")
         mech_text = "_" if mech is None else mech._value_
         append(f"{MAGIC}|EV|{seq}|{ts}|{kind._value_}|{mech_text}|{_opt(key)}|"
                f"{thread_text}|{context_text}|{_opt(detail)}")

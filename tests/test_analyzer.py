@@ -1,6 +1,7 @@
 """Lineage, grouping, statistics, and heuristic tests with independent
 oracles for the derived values."""
 
+import dataclasses
 import math
 import random
 import statistics
@@ -325,6 +326,22 @@ def test_config_from_file(tmp_path):
     assert cfg.cv_threshold == 2.5
     assert cfg.abs_anr_ns == 5_000_000_000
     assert cfg.max_min_ratio == 10.0  # untouched default
+
+
+@pytest.mark.parametrize("field", dataclasses.fields(HeuristicConfig),
+                         ids=lambda f: f.name)
+def test_config_value_takes_its_defaults_type(tmp_path, field):
+    """``cv_threshold = 4`` loads as the float 4.0 and ``min_samples = 4``
+    as an int; an int field refuses a fractional value."""
+    path = tmp_path / "typed.cfg"
+    path.write_text(f"{field.name} = 4\n")
+    value = getattr(HeuristicConfig.from_file(path), field.name)
+    assert type(value) is type(field.default)
+    assert value == 4
+    if type(field.default) is int:
+        path.write_text(f"{field.name} = 2.5\n")
+        with pytest.raises(ValueError, match=field.name):
+            HeuristicConfig.from_file(path)
 
 
 def test_config_rejects_unknown_key(tmp_path):

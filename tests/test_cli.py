@@ -70,6 +70,8 @@ def test_usage_errors(capsys):
     assert main([]) == EXIT_USAGE
     assert main(["frobnicate"]) == EXIT_USAGE
     assert main(["analyze"]) == EXIT_USAGE  # needs at least one trace
+    assert main(["demo"]) == EXIT_USAGE  # needs a scenario name
+    assert main(["analyze", "--format", "xml", "t.pdt"]) == EXIT_USAGE
     capsys.readouterr()
 
 

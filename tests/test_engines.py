@@ -254,3 +254,76 @@ def test_closed_session_gains_no_events(clock):
     for thread in threads:
         thread.join(timeout=10)
         assert not thread.is_alive()
+
+
+ENTRY_POINTS = ("spawn_thread", "looper", "aquery", "pool", "execute_default",
+                "execute_on", "dispatch_service")
+GROWS_A_WORKER = {"spawn_thread", "pool", "execute_on"}
+
+
+@CLOCKS
+def test_every_entry_point_attributes_its_task_to_the_caller(clock):
+    """A submission's Schedule names the thread that made it, and a worker
+    it grows names that thread as its Spawn parent, whoever the caller:
+    the main thread, a system thread, a task body or, on the real clock,
+    a thread the session has never seen."""
+    real = clock is RealMonotonicClock
+    session = ProfilerSession(clock=clock())
+    looper = session.serial_executor()
+    aquery = session.serial_executor(Mechanism.ASYNC_QUERY)
+    session.register_service("svc")
+    callers = {}
+
+    def submit_everywhere(caller):
+        def task(entry):
+            return Task(f"{caller}:{entry}", synthetic_duration_ns=1 * MS)
+
+        session.spawn_thread(task("spawn_thread"))
+        looper.submit(task("looper"))
+        aquery.submit(task("aquery"))
+        session.pool_executor(core_size=1, max_size=1).submit(task("pool"))
+        session.facade.execute_default(task("execute_default"))
+        session.facade.execute_on(session.pool_executor(core_size=1, max_size=1),
+                                  task("execute_on"))
+        session.dispatch_service("svc", task("dispatch_service"))
+        # Read afterwards, so a foreign caller's identity is the one its
+        # first submission drew.
+        callers[caller] = session.current_thread()
+
+    submit_everywhere("main")
+    with session.system_thread():
+        submit_everywhere("system")
+    session.pool_executor(core_size=1, max_size=1).submit(Task(
+        "host", body=lambda token: submit_everywhere("body"),
+        synthetic_duration_ns=0))
+    if real:
+        foreign = threading.Thread(target=submit_everywhere, args=("foreign",))
+        foreign.start()
+        foreign.join(timeout=10)
+    trace = session.drain(timeout_s=10)
+
+    labels = {ev.task_key: ev.detail for ev in trace.events
+              if ev.kind is EventKind.SCHEDULE}
+    scheduled_by = {ev.detail: ev.thread for ev in trace.events
+                    if ev.kind is EventKind.SCHEDULE}
+    started_on = {labels[ev.task_key]: ev.thread for ev in trace.events
+                  if ev.kind is EventKind.START}
+    spawned = {ev.thread.thread_id: ev.thread for ev in trace.events
+               if ev.kind is EventKind.SPAWN}
+    assert sorted(callers) == sorted(["main", "system", "body"]
+                                     + (["foreign"] if real else []))
+    assert callers["main"] == session.main_thread
+    assert callers["body"] == started_on["host"]
+    for caller, ident in callers.items():
+        for entry in ENTRY_POINTS:
+            label = f"{caller}:{entry}"
+            assert scheduled_by[label] == ident, label
+            if entry in GROWS_A_WORKER:
+                worker = spawned[started_on[label].thread_id]
+                assert worker.parent_thread_id == ident.thread_id, label
+    if real:
+        ident = callers["foreign"]
+        assert ident.parent_thread_id is None and not ident.is_main
+        others = {i.thread_id for label, i in scheduled_by.items()
+                  if not label.startswith("foreign:")}
+        assert ident.thread_id not in others | set(spawned)
