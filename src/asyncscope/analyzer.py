@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, fields
+from operator import attrgetter
 
 from .trace_model import (
     ExecutionContext,
@@ -185,7 +186,7 @@ def group_by_context(records: list[TaskRecord]) -> dict[ExecutionContext, list[T
     request time.
     """
     groups: dict[tuple[str, ...], list[TaskRecord]] = {}
-    for record in sorted(records, key=lambda r: r.request_ns):
+    for record in sorted(records, key=attrgetter("request_ns")):
         groups.setdefault(record.context.frames, []).append(record)
     return {bucket[0].context: bucket for bucket in groups.values()}
 

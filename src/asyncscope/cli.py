@@ -142,7 +142,7 @@ def _cmd_analyze(args) -> int:
                   bytes=read, contexts=contexts)
     report = build_report(sessions, cfg=cfg)
     if timer is not None:
-        timer.lap("build", rows=len(report.rows))
+        timer.lap("build", rows=len(report.rows), histograms=len(report.histograms))
     render = render_json if args.format == "json" else render_text
     payload = render(report)
     if timer is not None:

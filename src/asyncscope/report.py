@@ -9,7 +9,10 @@ machine-readable twin (raw nanoseconds).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
+from math import isfinite
+from operator import is_
 from typing import NamedTuple
 
 from .analyzer import (
@@ -57,7 +60,11 @@ class DiagnosisReport:
 
 
 def histogram(values: list[int], bins: int) -> list[HistogramBin]:
-    """Equal-width bins over [min, max]; the max lands in the last bin."""
+    """Equal-width bins over [min, max]; the max lands in the last bin.
+
+    Bin i spans ``lo + i*width`` to ``lo + (i+1)*width``, and the last
+    bin ends at ``float(hi)``. Adjacent bins share their edge object.
+    """
     if not values:
         raise ValueError("values must be non-empty")
     if bins < 1:
@@ -65,17 +72,18 @@ def histogram(values: list[int], bins: int) -> list[HistogramBin]:
     lo, hi = min(values), max(values)
     width = (hi - lo) / bins
     last = bins - 1
-    counts = [0] * bins
     if width == 0:
-        counts[last] = len(values)
-    else:
-        for v in values:
-            idx = int((v - lo) / width)
-            counts[idx if idx < last else last] += 1
-    make = HistogramBin._make
-    out = [make((lo + i * width, lo + (i + 1) * width, counts[i])) for i in range(last)]
-    out.append(make((lo + last * width, float(hi), counts[last])))
-    return out
+        # Every edge is lo + 0.0: one shared empty bin, then the last.
+        edge = lo + width
+        return [HistogramBin(edge, edge, 0)] * last + [
+            HistogramBin(edge, float(hi), len(values))]
+    counts = [0] * bins
+    for v in values:
+        idx = int((v - lo) / width)
+        counts[idx if idx < last else last] += 1
+    edges = [lo + i * width for i in range(bins)]
+    edges.append(float(hi))
+    return list(map(tuple.__new__, repeat(HistogramBin), zip(edges, edges[1:], counts)))
 
 
 def build_report(
@@ -204,7 +212,7 @@ def _stats_dict(ms: MetricStats | None):
     }
 
 
-def report_to_dict(report: DiagnosisReport) -> dict:
+def _dict_without_histograms(report: DiagnosisReport) -> dict:
     return {
         "config_entries": [
             {"index": i, "label": label} for i, label in report.config_entries
@@ -234,15 +242,21 @@ def report_to_dict(report: DiagnosisReport) -> dict:
             for row in report.rows
         ],
         "contexts": [list(frames) for frames in report.contexts],
-        "histograms": [
-            {
-                "group_ref": ref,
-                "metric": metric,
-                "bins": [[b.lower_ns, b.upper_ns, b.count] for b in bins],
-            }
-            for ref, metric, bins in report.histograms
-        ],
     }
+
+
+def _histogram_dict(ref: str, metric: str, bins: tuple[HistogramBin, ...]) -> dict:
+    return {
+        "group_ref": ref,
+        "metric": metric,
+        "bins": [[b.lower_ns, b.upper_ns, b.count] for b in bins],
+    }
+
+
+def report_to_dict(report: DiagnosisReport) -> dict:
+    doc = _dict_without_histograms(report)
+    doc["histograms"] = [_histogram_dict(*entry) for entry in report.histograms]
+    return doc
 
 
 _INF = float("inf")
@@ -287,22 +301,11 @@ def _write_json(obj, out: list[str], indent: str) -> None:
             out.append("[]")
             return
         inner = indent + "  "
-        cell = inner + "  "
         comma = "," + inner
         sep = "[" + inner
         for item in obj:
             out.append(sep)
             sep = comma
-            if type(item) is list and len(item) == 3:
-                # A histogram bin, if [float, float, int] with finite floats,
-                # whose entries repr writes as json does. Bins hold most of a
-                # report's values, so each is written from one template.
-                lower, upper, count = item
-                if (type(lower) is float and type(upper) is float
-                        and type(count) is int
-                        and lower - lower == 0.0 and upper - upper == 0.0):
-                    out.append(f"[{cell}{lower!r},{cell}{upper!r},{cell}{count!r}{inner}]")
-                    continue
             scalar = _SCALARS.get(type(item))
             if scalar is not None:
                 out.append(scalar(item))
@@ -329,12 +332,73 @@ def _write_json(obj, out: list[str], indent: str) -> None:
         raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
+# One histogram bin as render_json writes it (lower, upper, count), after
+# the comma that separates it from the previous bin.
+_BIN = ",\n        [\n          %s,\n          %s,\n          %d\n        ]"
+
+
+def _bins_json(bins: tuple[HistogramBin, ...]) -> str | None:
+    """The items of a histogram's ``"bins"`` list as ``render_json``
+    writes them, or None unless each edge is a finite float, each count
+    an int, and bin i's upper edge is bin i+1's lower edge object.
+
+    Each shared edge is formatted once. A zero-width histogram, one bin
+    object repeated before the last, has its repeated bin formatted once.
+    """
+    head = bins[0]
+    repeated = len(bins) > 2 and all(map(is_, bins[1:-1], repeat(head)))
+    distinct = (head, bins[-1]) if repeated else bins
+    lowers, uppers, counts = zip(*distinct)
+    edges = (*lowers, uppers[-1])
+    if not (all(map(is_, uppers[:-1], lowers[1:]))
+            and set(map(type, edges)) == {float} and all(map(isfinite, edges))
+            and set(map(type, counts)) == {int}):
+        return None
+    reprs = list(map(float.__repr__, edges))
+    if repeated:
+        text = (_BIN % (reprs[0], reprs[1], counts[0]) * (len(bins) - 1)
+                + _BIN % (reprs[1], reprs[2], counts[1]))
+    else:
+        text = _BIN * len(bins) % (*chain.from_iterable(zip(reprs, reprs[1:], counts)),)
+    return text[1:]
+
+
+def _write_histograms(histograms, out: list[str]) -> None:
+    """``_write_json`` of ``report_to_dict``'s ``"histograms"`` list at
+    the top level, written from the bins themselves."""
+    if not histograms:
+        out.append("[]")
+        return
+    sep = "[\n    "
+    for ref, metric, bins in histograms:
+        out.append(sep)
+        sep = ",\n    "
+        body = _bins_json(bins) if bins else None
+        if body is None:
+            _write_json(_histogram_dict(ref, metric, bins), out, "\n    ")
+        else:
+            out.append(
+                f'{{\n      "bins": [{body}\n      ],'
+                f'\n      "group_ref": {encode_basestring_ascii(ref)},'
+                f'\n      "metric": {encode_basestring_ascii(metric)}\n    }}'
+            )
+    out.append("\n  ]")
+
+
 def render_json(report: DiagnosisReport) -> bytes:
     """``json.dumps(report_to_dict(report), indent=2, sort_keys=True)``
     and a newline, byte for byte."""
+    doc = _dict_without_histograms(report)
     out: list[str] = []
-    _write_json(report_to_dict(report), out, "\n")
-    out.append("\n")
+    sep = "{\n  "
+    for key in sorted([*doc, "histograms"]):
+        out.append(f"{sep}{encode_basestring_ascii(key)}: ")
+        sep = ",\n  "
+        if key == "histograms":
+            _write_histograms(report.histograms, out)
+        else:
+            _write_json(doc[key], out, "\n  ")
+    out.append("\n}\n")
     return "".join(out).encode("utf-8")
 
 

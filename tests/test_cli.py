@@ -5,6 +5,7 @@ import json
 import pytest
 
 from asyncscope.cli import EXIT_DATA, EXIT_EXPECTATION, EXIT_OK, EXIT_USAGE, main
+from asyncscope.report import build_report
 from asyncscope.scenarios import SCENARIOS
 from asyncscope.tracelog import read_trace
 
@@ -140,6 +141,9 @@ def test_analyze_timings_change_no_output(trace_file, tmp_path, capsys, fmt):
     assert defined >= 1
     assert f" bytes={2 * len(data)} contexts={2 * defined}\n" in timed.err
     assert f"bytes={len(plain.out.encode())}" in timed.err
+    report = build_report([read_trace(trace_file)] * 2)
+    assert report.histograms
+    assert f" rows={len(report.rows)} histograms={len(report.histograms)}\n" in timed.err
 
     out_plain, out_timed = tmp_path / "plain", tmp_path / "timed"
     assert main([*argv, "--out", str(out_plain)]) == EXIT_OK

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asyncscope.report import (
+    DiagnosisReport,
+    HistogramBin,
     _write_json,
     build_report,
     format_duration,
@@ -59,6 +61,17 @@ def test_histogram_rejects_degenerate_input():
 def test_histogram_counts_conserved(values, bins):
     out = histogram(values, bins)
     assert len(out) == bins
+    # Bin i is (lo + i*w, lo + (i+1)*w, count), the last ending at float(hi),
+    # bit for bit: repr tells -0.0 from 0.0 and 1 from 1.0.
+    lo, hi = min(values), max(values)
+    w = (hi - lo) / bins
+    counts = [0] * bins
+    for v in values:
+        counts[min(int((v - lo) / w), bins - 1) if w else bins - 1] += 1
+    expected = [(lo + i * w, lo + (i + 1) * w, c) for i, c in enumerate(counts)]
+    expected[-1] = (expected[-1][0], float(hi), counts[-1])
+    assert [tuple(map(repr, b)) for b in out] == [tuple(map(repr, b)) for b in expected]
+    assert all(type(b) is HistogramBin for b in out)
     assert sum(b.count for b in out) == len(values)
     # Every value falls inside exactly one bin's [lower, upper] span.
     for v in values:
@@ -139,6 +152,56 @@ _SCENARIO_REPORTS["all merged"] = sorted(SCENARIOS)
 @pytest.mark.parametrize("names", _SCENARIO_REPORTS.values(), ids=_SCENARIO_REPORTS)
 def test_render_json_is_json_dumps(names):
     report = build_report([run_scenario(name).session for name in names])
+    assert render_json(report) == (_dumps(report_to_dict(report)) + "\n").encode()
+
+
+def _hand_built(histograms) -> DiagnosisReport:
+    return DiagnosisReport(
+        config_entries=((0, "cfg é"),),
+        rows=(),
+        contexts=(("app.main:run", "lib.io:read \u2028"),),
+        histograms=tuple(histograms),
+    )
+
+
+_SHARED = 2.5  # one edge object, the upper of one bin and the lower of the next
+_HAND_BUILT = {
+    "no histograms": (),
+    "bins=1": [("0-0", "queuing", tuple(histogram([5, 9], 1)))],
+    "zero width": [("0-0", "latency", tuple(histogram([7] * 4, bins)))
+                   for bins in (1, 2, 3, 20)],
+    "non-finite edges": [
+        ("0-0", "queuing", (HistogramBin(math.nan, 1.0, 1), HistogramBin(1.0, 2.0, 2))),
+        ("0-0", "latency", (HistogramBin(0.0, math.inf, 1),)),
+        ("0-1", "queuing", (HistogramBin(-math.inf, 3.0, 0), HistogramBin(3.0, 4.0, 1))),
+    ],
+    "int edges": [("0-0", "queuing", (HistogramBin(0, 5, 1), HistogramBin(5, 10, 2)))],
+    "non-ascii group_ref": [("0-é😀\u2028", "latency", tuple(histogram([1, 2, 30], 4)))],
+    "signed zeros": [("0-0", "queuing", (HistogramBin(-0.0, 0.0, 1), HistogramBin(-0.0, 1.0, 2)))],
+    "bool count": [("0-0", "queuing", (HistogramBin(0.0, 1.0, True),))],
+    "no bins": [("0-0", "queuing", ())],
+    "one bin repeated": [("0-0", "queuing", (HistogramBin(1.5, _SHARED, 3),) * 3
+                          + (HistogramBin(_SHARED, 4.0, 1),))],
+    "equal bins, not one object": [("0-0", "queuing", (
+        HistogramBin(0.0, _SHARED, 1), HistogramBin(-0.0, _SHARED, 1),
+        HistogramBin(0.0, _SHARED, True), HistogramBin(_SHARED, 4.0, 1)))],
+}
+
+
+@pytest.mark.parametrize("histograms", _HAND_BUILT.values(), ids=_HAND_BUILT)
+def test_render_json_of_hand_built_report_is_json_dumps(histograms):
+    report = _hand_built(histograms)
+    assert render_json(report) == (_dumps(report_to_dict(report)) + "\n").encode()
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(
+    st.text(max_size=6), st.sampled_from(["queuing", "latency"]),
+    st.lists(st.integers(0, 10**12), min_size=1, max_size=30), st.integers(1, 25),
+), max_size=4))
+def test_render_json_of_histograms_is_json_dumps(entries):
+    report = _hand_built(
+        (ref, metric, tuple(histogram(values, bins))) for ref, metric, values, bins in entries)
     assert render_json(report) == (_dumps(report_to_dict(report)) + "\n").encode()
 
 
