@@ -2,8 +2,13 @@
 """Measure instrumentation overhead on the real clock and print a table."""
 
 import argparse
+import os
+import sys
 
-from asyncscope.bench import (
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from asyncscope.bench import (  # noqa: E402
     DEFAULT_RUNS,
     DEFAULT_TASKS,
     DEFAULT_WORKERS,

@@ -1,17 +1,17 @@
 #!/usr/bin/env python3
-"""Regenerate the frozen report fixtures under tests/data/.
-
-Run from the repository root after any deliberate format change, then
-review the diff by hand before committing.
-"""
+"""Regenerate the frozen report fixtures under tests/data/ after a deliberate
+format change, then review the diff by hand before committing. Run from
+anywhere. The fixtures' contexts record this file's line numbers."""
 
 import pathlib
+import sys
 
-from asyncscope.report import build_report, render_json, render_text
-from asyncscope.scenarios import run_scenario
-from asyncscope.tracelog import parse_trace, write_trace
-
-DATA = pathlib.Path(__file__).resolve().parent.parent / "tests" / "data"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DATA = ROOT / "tests" / "data"
+sys.path.insert(0, str(ROOT / "src"))
+from asyncscope.report import build_report, render_json, render_text  # noqa: E402
+from asyncscope.scenarios import run_scenario  # noqa: E402
+from asyncscope.tracelog import parse_trace, write_trace  # noqa: E402
 
 
 def main() -> None:

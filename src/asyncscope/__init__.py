@@ -60,7 +60,6 @@ from .trace_model import (
     queuing_time,
 )
 from .tracelog import (
-    FILE_EXTENSION,
     TraceLogError,
     encode_session,
     parse_trace,
@@ -73,7 +72,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AsyncFacade", "CancelOutcome", "CancelToken", "ClockMode", "ClockSource",
     "DiagnosisReport", "DrainTimeout", "EventKind", "ExecutionContext",
-    "FILE_EXTENSION", "GroupStats", "Heuristic", "HeuristicConfig",
+    "GroupStats", "Heuristic", "HeuristicConfig",
     "HistogramBin", "LineageSet", "Mechanism", "Metric",
     "MetricStats", "PoolExecutor", "ProfilerError", "ProfilerSession",
     "QueueFull", "RealMonotonicClock", "ReportRow", "SCENARIOS", "Scenario",

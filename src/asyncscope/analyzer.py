@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from operator import attrgetter
 
 from .trace_model import (
@@ -96,6 +96,10 @@ class HeuristicConfig:
                     raise ValueError(
                         f"{path}:{line_no}: bad value for {key}: {value.strip()!r}"
                     ) from None
+                try:
+                    cls(**{key: overrides[key]})  # each field's range alone
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{line_no}: {exc}") from None
         return cls(**overrides)
 
 
@@ -103,7 +107,6 @@ class HeuristicConfig:
 class LineageSet:
     """Thread ids reachable from the main thread via spawn edges."""
 
-    main_thread_id: int
     offspring: frozenset[int]
 
     def __contains__(self, thread_id: int) -> bool:
@@ -138,11 +141,10 @@ class GroupStats:
 class Warning:
     """One triggered heuristic with its threshold-exceedance score."""
 
-    context: ExecutionContext
     metric: Metric
     heuristic: Heuristic
     score: float
-    evidence: tuple[tuple[str, float], ...] = field(default=())
+    evidence: tuple[tuple[str, float], ...] = ()
 
 
 def build_lineage(events: tuple[TaskEvent, ...] | list[TaskEvent]) -> LineageSet:
@@ -171,7 +173,7 @@ def build_lineage(events: tuple[TaskEvent, ...] | list[TaskEvent]) -> LineageSet
             if child not in offspring:
                 offspring.add(child)
                 frontier.append(child)
-    return LineageSet(main_thread_id=main_id, offspring=frozenset(offspring))
+    return LineageSet(frozenset(offspring))
 
 
 def filter_ui_triggered(records: list[TaskRecord], lineage: LineageSet) -> list[TaskRecord]:
@@ -249,33 +251,25 @@ def stats_and_durations(
     return stats, queuing_values, latency_values
 
 
-def _ratio_warnings(stats: GroupStats, metric: Metric, ms: MetricStats,
-                    cfg: HeuristicConfig) -> list[Warning]:
-    out = []
+def _ratio_warnings(warnings: list[Warning], metric: Metric, ms: MetricStats,
+                    cfg: HeuristicConfig) -> None:
     if ms.mean > 0:
         cv = math.sqrt(ms.variance) / ms.mean
         if cv > cfg.cv_threshold:
-            out.append(Warning(
-                stats.context, metric, Heuristic.HIGH_VARIANCE,
-                score=cv / cfg.cv_threshold,
-                evidence=(("cv", cv), ("mean_ns", ms.mean), ("variance", ms.variance)),
-            ))
+            warnings.append(Warning(
+                metric, Heuristic.HIGH_VARIANCE, cv / cfg.cv_threshold,
+                (("cv", cv), ("mean_ns", ms.mean), ("variance", ms.variance))))
     # 1ns floors keep zero minima/medians from dividing the ratios away.
     max_min = ms.max / max(ms.min, 1)
     if max_min > cfg.max_min_ratio:
-        out.append(Warning(
-            stats.context, metric, Heuristic.MAX_MIN_SPREAD,
-            score=max_min / cfg.max_min_ratio,
-            evidence=(("max_ns", float(ms.max)), ("min_ns", float(ms.min))),
-        ))
+        warnings.append(Warning(
+            metric, Heuristic.MAX_MIN_SPREAD, max_min / cfg.max_min_ratio,
+            (("max_ns", float(ms.max)), ("min_ns", float(ms.min)))))
     max_median = ms.max / max(ms.median, 1)
     if max_median > cfg.max_median_ratio:
-        out.append(Warning(
-            stats.context, metric, Heuristic.MAX_MEDIAN_SPREAD,
-            score=max_median / cfg.max_median_ratio,
-            evidence=(("max_ns", float(ms.max)), ("median_ns", float(ms.median))),
-        ))
-    return out
+        warnings.append(Warning(
+            metric, Heuristic.MAX_MEDIAN_SPREAD, max_median / cfg.max_median_ratio,
+            (("max_ns", float(ms.max)), ("median_ns", float(ms.median)))))
 
 
 def detect_anomalies(stats: GroupStats, cfg: HeuristicConfig) -> list[Warning]:
@@ -287,32 +281,28 @@ def detect_anomalies(stats: GroupStats, cfg: HeuristicConfig) -> list[Warning]:
     warnings: list[Warning] = []
     if stats.n_complete >= cfg.min_samples:
         if stats.queuing is not None:
-            warnings.extend(_ratio_warnings(stats, Metric.QUEUING, stats.queuing, cfg))
+            _ratio_warnings(warnings, Metric.QUEUING, stats.queuing, cfg)
         if stats.latency is not None:
-            warnings.extend(_ratio_warnings(stats, Metric.LATENCY, stats.latency, cfg))
+            _ratio_warnings(warnings, Metric.LATENCY, stats.latency, cfg)
     if stats.latency is not None:
         if stats.latency.max > cfg.abs_latency_warn_ns:
             warnings.append(Warning(
-                stats.context, Metric.LATENCY, Heuristic.ABSOLUTE_LATENCY,
-                score=stats.latency.max / cfg.abs_latency_warn_ns,
-                evidence=(("max_ns", float(stats.latency.max)),),
-            ))
+                Metric.LATENCY, Heuristic.ABSOLUTE_LATENCY,
+                stats.latency.max / cfg.abs_latency_warn_ns,
+                (("max_ns", float(stats.latency.max)),)))
         if stats.latency.max > cfg.abs_anr_ns:
             warnings.append(Warning(
-                stats.context, Metric.LATENCY, Heuristic.ANR_SCALE,
-                score=stats.latency.max / cfg.abs_anr_ns,
-                evidence=(("max_ns", float(stats.latency.max)),),
-            ))
+                Metric.LATENCY, Heuristic.ANR_SCALE, stats.latency.max / cfg.abs_anr_ns,
+                (("max_ns", float(stats.latency.max)),)))
     total = stats.n_complete + stats.n_incomplete
     if total > 0:
         fraction = stats.n_incomplete / total
         if fraction > cfg.incomplete_warn_fraction:
             warnings.append(Warning(
-                stats.context, Metric.INCOMPLETE, Heuristic.INCOMPLETE_FRACTION,
-                score=fraction / cfg.incomplete_warn_fraction,
-                evidence=(("incomplete", float(stats.n_incomplete)),
-                          ("complete", float(stats.n_complete))),
-            ))
+                Metric.INCOMPLETE, Heuristic.INCOMPLETE_FRACTION,
+                fraction / cfg.incomplete_warn_fraction,
+                (("incomplete", float(stats.n_incomplete)),
+                 ("complete", float(stats.n_complete)))))
     return warnings
 
 

@@ -73,8 +73,11 @@ def _emit(payload: bytes, out: str | None) -> None:
         sys.stdout.buffer.write(payload)
         sys.stdout.buffer.flush()
     else:
-        with open(out, "wb") as fh:
-            fh.write(payload)
+        try:
+            with open(out, "wb") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise _DataError(f"cannot write {out}: {exc.strerror}") from exc
 
 
 def _default_clock():
@@ -93,7 +96,10 @@ def _cmd_demo(args) -> int:
     except UnknownScenario as exc:
         raise _DataError(str(exc)) from exc
     if args.out is not None:
-        write_trace(result.session, args.out)
+        try:
+            write_trace(result.session, args.out)
+        except OSError as exc:
+            raise _DataError(f"cannot write {args.out}: {exc.strerror}") from exc
     sys.stdout.buffer.write(render_text(result.report))
     expected = sorted(f"{m.value}:{h.value}" for m, h in result.scenario.expected_warnings)
     fired = sorted(f"{m.value}:{h.value}" for m, h in result.fired)
@@ -148,7 +154,10 @@ def _cmd_analyze(args) -> int:
     if timer is not None:
         timer.lap("render", bytes=len(payload))
     if args.histograms is not None:
-        write_histogram_csvs(report, args.histograms)
+        try:
+            write_histogram_csvs(report, args.histograms)
+        except OSError as exc:
+            raise _DataError(f"cannot write {args.histograms}: {exc.strerror}") from exc
     _emit(payload, args.out)
     if timer is not None:
         timer.lap("write")

@@ -30,16 +30,15 @@ class RealMonotonicClock:
 
 
 class VirtualClock:
-    """Deterministic clock advanced only by the session's scheduler,
-    never by sleeping."""
+    """Deterministic clock from 0, advanced only by the session's
+    scheduler, never by sleeping."""
 
     mode = ClockMode.VIRTUAL
 
-    def __init__(self, start_ns: int = 0) -> None:
-        if start_ns < 0:
-            raise ValueError("start_ns must be non-negative")
-        self.origin_ns = start_ns
-        self._now_ns = start_ns
+    origin_ns = 0
+
+    def __init__(self) -> None:
+        self._now_ns = 0
 
     def now_ns(self) -> int:
         return self._now_ns

@@ -28,7 +28,7 @@ from .analyzer import (
     stats_and_durations,
     suspiciousness,
 )
-from .trace_model import Mechanism, TraceSession, correlate
+from .trace_model import TraceSession, correlate
 
 DEFAULT_BINS = 20
 
@@ -44,7 +44,6 @@ class ReportRow:
     group_ref: str  # "<config_index>-<context_index>"
     context_index: int
     config_index: int
-    mechanism: Mechanism
     stats: GroupStats
     warnings: tuple[Warning, ...]
     suspiciousness: float
@@ -89,7 +88,6 @@ def histogram(values: list[int], bins: int) -> list[HistogramBin]:
 def build_report(
     sessions: list[TraceSession],
     cfg: HeuristicConfig | None = None,
-    bins: int = DEFAULT_BINS,
 ) -> DiagnosisReport:
     """Analyze sessions and assemble the ranked multi-config report."""
     if cfg is None:
@@ -114,18 +112,17 @@ def build_report(
                 group_ref=ref,
                 context_index=ctx_i,
                 config_index=config_i,
-                mechanism=stats.mechanism,
                 stats=stats,
                 warnings=warnings,
                 suspiciousness=suspiciousness(list(warnings)),
             ))
             if queuing_values:
                 histograms.append(
-                    (ref, Metric.QUEUING.value, tuple(histogram(queuing_values, bins)))
+                    (ref, Metric.QUEUING.value, tuple(histogram(queuing_values, DEFAULT_BINS)))
                 )
             if latency_values:
                 histograms.append(
-                    (ref, Metric.LATENCY.value, tuple(histogram(latency_values, bins)))
+                    (ref, Metric.LATENCY.value, tuple(histogram(latency_values, DEFAULT_BINS)))
                 )
     rows.sort(key=_rank_key)
     return DiagnosisReport(
@@ -177,7 +174,7 @@ def render_text(report: DiagnosisReport) -> bytes:
         for row in report.rows:
             s = row.stats
             lines.append(
-                f"{row.group_ref:<8} {row.mechanism.value:<8} "
+                f"{row.group_ref:<8} {s.mechanism.value:<8} "
                 f"{s.n_complete:<5} {s.n_incomplete:<4} {s.n_cancelled:<4} "
                 f"{row.suspiciousness:<9.3g} "
                 f"{_stats_cell(s.queuing):<29} {_stats_cell(s.latency)}"
@@ -222,7 +219,7 @@ def _dict_without_histograms(report: DiagnosisReport) -> dict:
                 "group_ref": row.group_ref,
                 "config_index": row.config_index,
                 "context_index": row.context_index,
-                "mechanism": row.mechanism.value,
+                "mechanism": row.stats.mechanism.value,
                 "n_complete": row.stats.n_complete,
                 "n_incomplete": row.stats.n_incomplete,
                 "n_cancelled": row.stats.n_cancelled,

@@ -64,9 +64,6 @@ class ExecutionContext:
 
     frames: tuple[str, ...]
 
-    def as_string(self) -> str:
-        return ";".join(self.frames)
-
 
 class TaskEvent(NamedTuple):
     """One timestamped lifecycle event for a task on a thread.

@@ -23,7 +23,6 @@ from .trace_model import (
 )
 
 MAGIC = "PD2"
-FILE_EXTENSION = ".pdt"
 
 _EVENT_FIELDS = 12  # PD2|EV|seq|ts|kind|mech|key|tid|ptid|is_main|context id|detail
 _CONTEXT_FIELDS = 4  # PD2|CTX|id|frames

@@ -298,8 +298,8 @@ def test_ratio_heuristics_need_min_samples():
 def test_suspiciousness_is_max_score():
     assert suspiciousness([]) == 0.0
     warnings = [
-        HeuristicWarning(CTX, Metric.QUEUING, Heuristic.HIGH_VARIANCE, 1.2),
-        HeuristicWarning(CTX, Metric.LATENCY, Heuristic.ANR_SCALE, 3.0),
+        HeuristicWarning(Metric.QUEUING, Heuristic.HIGH_VARIANCE, 1.2),
+        HeuristicWarning(Metric.LATENCY, Heuristic.ANR_SCALE, 3.0),
     ]
     assert suspiciousness(warnings) == 3.0
 
@@ -356,6 +356,19 @@ def test_config_rejects_bad_value(tmp_path):
     path.write_text("cv_threshold = banana\n")
     with pytest.raises(ValueError):
         HeuristicConfig.from_file(path)
+
+
+@pytest.mark.parametrize("text, line_no, message", [
+    ("cv_threshold = 0\n", 1, "cv_threshold must be positive"),
+    ("# strict\nmin_samples = 1\n", 2, "min_samples must be at least 2"),
+    ("cv_threshold = 2\n\nabs_anr_ns = -5\n", 3, "abs_anr_ns must be positive"),
+])
+def test_config_range_error_names_its_line(tmp_path, text, line_no, message):
+    path = tmp_path / "range.cfg"
+    path.write_text(text)
+    with pytest.raises(ValueError) as exc_info:
+        HeuristicConfig.from_file(path)
+    assert str(exc_info.value) == f"{path}:{line_no}: {message}"
 
 
 @pytest.mark.parametrize("name", ["cv_threshold", "max_min_ratio",

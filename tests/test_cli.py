@@ -152,6 +152,20 @@ def test_analyze_timings_change_no_output(trace_file, tmp_path, capsys, fmt):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["demo --out", "analyze --out", "analyze --histograms"])
+def test_unwritable_output_is_a_data_error(trace_file, tmp_path, capsys, command):
+    missing = str(tmp_path / "no_such_dir" / "out")
+    argv = {
+        "demo --out": ["demo", "sequential_execute", "--out", missing],
+        "analyze --out": ["analyze", str(trace_file), "--out", missing],
+        # An existing file where the histogram directory should go.
+        "analyze --histograms": ["analyze", str(trace_file), "--histograms", str(trace_file)],
+    }[command]
+    assert main(argv) == EXIT_DATA
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("asyncscope: error: cannot write ")
+
+
 def test_analyze_corrupt_trace(tmp_path, capsys):
     path = tmp_path / "junk.pdt"
     path.write_bytes(b"PD2|SESSION|x|y|0\nPD2|EV|1|oops\n")

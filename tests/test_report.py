@@ -1,5 +1,6 @@
 """Histogram arithmetic, ranking, and rendering determinism."""
 
+import dataclasses
 import json
 import math
 import pathlib
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from asyncscope.analyzer import Warning as HeuristicWarning
 from asyncscope.report import (
     DiagnosisReport,
     HistogramBin,
@@ -111,6 +113,15 @@ def test_group_ref_matches_indices():
     for row in report.rows:
         assert row.group_ref == f"{row.config_index}-{row.context_index}"
         assert 0 <= row.context_index < len(report.contexts)
+
+
+def test_warning_holds_what_its_json_shows():
+    """Every field of a warning is written; nothing is carried unread."""
+    doc = report_to_dict(build_report([run_scenario("queue_overload").session]))
+    shown = [set(w) for row in doc["rows"] for w in row["warnings"]]
+    assert shown
+    fields = {f.name for f in dataclasses.fields(HeuristicWarning)}
+    assert all(keys == fields for keys in shown)
 
 
 # -- rendering ----------------------------------------------------------------------

@@ -31,15 +31,12 @@ def test_bench_snapshot_refuses_a_failed_perfbench_run(monkeypatch):
     assert "live_pool exited 1" in str(exc_info.value.code)
 
 
-def test_overhead_bench_smoke():
-    env = dict(os.environ)
-    src = str(SCRIPTS.parent / "src")
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, (src, env.get("PYTHONPATH"))))
+def test_overhead_bench_smoke(tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run(
         [sys.executable, str(SCRIPTS / "overhead_bench.py"),
          "--tasks", "200", "--runs", "1", "--workers", "2"],
-        env=env, capture_output=True, text=True, timeout=300)
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert any(line.startswith("overhead:") for line in proc.stdout.splitlines())
 

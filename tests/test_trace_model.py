@@ -231,4 +231,3 @@ def test_context_equality_tracks_frames():
     b = ExecutionContext(("m:f:1", "m:g:2"))
     c = ExecutionContext(("m:f:1", "m:g:3"))
     assert a == b and a != c
-    assert a.as_string() == "m:f:1;m:g:2"
