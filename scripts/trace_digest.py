@@ -7,7 +7,10 @@ for the trace, then ``<sha256>  <scenario> text`` and ``<sha256>
 <scenario> json`` for ``render_text`` and ``render_json`` of the report
 built from the re-parsed trace. The last line is the digest of all the
 traces in name order. Two commits whose lines agree record byte-identical
-virtual-clock traces and render byte-identical reports from them.
+virtual-clock traces and render byte-identical reports from them. It also
+checks that each ``render_json`` is ``json.dumps(report_to_dict(report),
+indent=2, sort_keys=True)`` and a newline, and exits non-zero naming the
+scenarios where it is not.
 
 Captured contexts include this script's own frames, so compare only
 digests printed by the same copy of this file: to check a change, copy
@@ -18,28 +21,39 @@ it imports asyncscope from the ``src`` of the checkout it sits in::
 """
 
 import hashlib
+import json
 import os
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from asyncscope.report import build_report, render_json, render_text  # noqa: E402
+from asyncscope.report import (  # noqa: E402
+    build_report, render_json, render_text, report_to_dict)
 from asyncscope.scenarios import SCENARIOS, run_scenario  # noqa: E402
 from asyncscope.tracelog import encode_session, parse_trace  # noqa: E402
 
 
-def main() -> None:
+def main() -> int:
     combined = hashlib.sha256()
+    mismatched = []
     for name in sorted(SCENARIOS):
         data = encode_session(run_scenario(name).session)
         combined.update(data)
         print(f"{hashlib.sha256(data).hexdigest()}  {name}")
         report = build_report([parse_trace(data)])
-        for form, render in (("text", render_text), ("json", render_json)):
-            print(f"{hashlib.sha256(render(report)).hexdigest()}  {name} {form}")
+        rendered = {"text": render_text(report), "json": render_json(report)}
+        for form, text in rendered.items():
+            print(f"{hashlib.sha256(text).hexdigest()}  {name} {form}")
+        dumped = json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
+        if rendered["json"] != dumped.encode():
+            mismatched.append(name)
     print(f"{combined.hexdigest()}  (all)")
+    if mismatched:
+        print(f"render_json differs from json.dumps for: {', '.join(mismatched)}",
+              file=sys.stderr)
+    return 1 if mismatched else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

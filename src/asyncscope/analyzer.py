@@ -78,9 +78,10 @@ class HeuristicConfig:
 
     @classmethod
     def from_file(cls, path) -> "HeuristicConfig":
-        """Load overrides from a flat key=value file; unknown keys error."""
+        """Load overrides from a flat key=value file; unknown or repeated keys error."""
         parsers = {f.name: type(f.default) for f in fields(cls)}
         overrides = {}
+        set_at = {}  # key -> the line that gave it
         with open(path, "r", encoding="utf-8") as fh:
             for line_no, raw in enumerate(fh, start=1):
                 line = raw.strip()
@@ -90,6 +91,10 @@ class HeuristicConfig:
                 key = key.strip()
                 if not sep or key not in parsers:
                     raise ValueError(f"{path}:{line_no}: bad config line {raw!r}")
+                if key in set_at:
+                    raise ValueError(
+                        f"{path}:{line_no}: {key} given twice (first at line {set_at[key]})")
+                set_at[key] = line_no
                 try:
                     overrides[key] = parsers[key](value.strip())
                 except ValueError:

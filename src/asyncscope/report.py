@@ -8,9 +8,10 @@ machine-readable twin (raw nanoseconds).
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
-from itertools import chain, repeat
-from json.encoder import encode_basestring_ascii
+from itertools import chain, repeat, starmap
+from json.encoder import encode_basestring_ascii as _quote
 from math import isfinite
 from operator import is_
 from typing import NamedTuple
@@ -209,7 +210,8 @@ def _stats_dict(ms: MetricStats | None):
     }
 
 
-def _dict_without_histograms(report: DiagnosisReport) -> dict:
+def report_to_dict(report: DiagnosisReport) -> dict:
+    """The document that ``render_json`` writes."""
     return {
         "config_entries": [
             {"index": i, "label": label} for i, label in report.config_entries
@@ -239,164 +241,148 @@ def _dict_without_histograms(report: DiagnosisReport) -> dict:
             for row in report.rows
         ],
         "contexts": [list(frames) for frames in report.contexts],
+        "histograms": [
+            {
+                "group_ref": ref,
+                "metric": metric,
+                "bins": [[b.lower_ns, b.upper_ns, b.count] for b in bins],
+            }
+            for ref, metric, bins in report.histograms
+        ],
     }
 
 
-def _histogram_dict(ref: str, metric: str, bins: tuple[HistogramBin, ...]) -> dict:
-    return {
-        "group_ref": ref,
-        "metric": metric,
-        "bins": [[b.lower_ns, b.upper_ns, b.count] for b in bins],
-    }
+class _Uncovered(Exception):
+    """A value that render_json's templates do not write as json does."""
 
 
-def report_to_dict(report: DiagnosisReport) -> dict:
-    doc = _dict_without_histograms(report)
-    doc["histograms"] = [_histogram_dict(*entry) for entry in report.histograms]
-    return doc
-
-
-_INF = float("inf")
-
-
-def _float_json(value: float) -> str:
-    # As json writes floats: repr, and JavaScript's names for the rest.
-    if value != value:
-        return "NaN"
-    if value == _INF:
-        return "Infinity"
-    if value == -_INF:
-        return "-Infinity"
-    return float.__repr__(value)
-
-
-# How json writes each scalar type that report_to_dict builds.
-_SCALARS = {
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    float: _float_json,
-    bool: lambda value: "true" if value else "false",
-    type(None): lambda value: "null",
-}
-
-
-def _write_json(obj, out: list[str], indent: str) -> None:
-    """Append to ``out`` the text ``json.dumps(obj, indent=2,
-    sort_keys=True)`` gives for ``obj``, a document of the types that
-    ``report_to_dict`` builds: dicts with str keys, lists, and the
-    scalars in ``_SCALARS``. ``indent`` is the newline and spaces that
-    start ``obj``'s own line.
-
-    ``json`` drops to its pure-Python encoder whenever ``indent`` is set;
-    this writer makes the same choices with fewer calls per value.
-    """
-    scalar = _SCALARS.get(type(obj))
-    if scalar is not None:
-        out.append(scalar(obj))
-    elif type(obj) is list:
-        if not obj:
-            out.append("[]")
-            return
-        inner = indent + "  "
-        comma = "," + inner
-        sep = "[" + inner
-        for item in obj:
-            out.append(sep)
-            sep = comma
-            scalar = _SCALARS.get(type(item))
-            if scalar is not None:
-                out.append(scalar(item))
-            else:
-                _write_json(item, out, inner)
-        out.append(indent + "]")
-    elif type(obj) is dict:
-        if not obj:
-            out.append("{}")
-            return
-        inner = indent + "  "
-        comma = "," + inner
-        sep = "{" + inner
-        for key, value in sorted(obj.items()):
-            scalar = _SCALARS.get(type(value))
-            if scalar is not None:
-                out.append(f"{sep}{encode_basestring_ascii(key)}: {scalar(value)}")
-            else:
-                out.append(f"{sep}{encode_basestring_ascii(key)}: ")
-                _write_json(value, out, inner)
-            sep = comma
-        out.append(indent + "}")
-    else:
-        raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-
-
-# One histogram bin as render_json writes it (lower, upper, count), after
-# the comma that separates it from the previous bin.
+# Each item as json.dumps(report_to_dict(report), indent=2, sort_keys=True)
+# writes it at its depth. %d and %r write an int and a finite float as json
+# does only when its type is exactly int or float, which the writers check.
+_CONFIG = '{\n      "index": %d,\n      "label": %s\n    }'
+_HISTOGRAM = '{\n      "bins": [%s\n      ],\n      "group_ref": %s,\n      "metric": %s\n    }'
+_ROW = (
+    '{\n      "config_index": %d,\n      "context_index": %d,\n      "group_ref": %s,'
+    '\n      "latency": %s,\n      "mechanism": %s,\n      "n_cancelled": %d,'
+    '\n      "n_complete": %d,\n      "n_incomplete": %d,\n      "queuing": %s,'
+    '\n      "suspiciousness": %r,\n      "warnings": %s\n    }'
+)
+_STATS = (
+    '{\n        "max_ns": %d,\n        "mean_ns": %r,\n        "median_ns": %d,'
+    '\n        "min_ns": %d,\n        "variance": %r\n      }'
+)
+_WARNING = (
+    '{\n          "evidence": %s,\n          "heuristic": %s,\n          "metric": %s,'
+    '\n          "score": %r\n        }'
+)
+# One histogram bin, after the comma that separates it from the previous one.
 _BIN = ",\n        [\n          %s,\n          %s,\n          %d\n        ]"
 
 
-def _bins_json(bins: tuple[HistogramBin, ...]) -> str | None:
-    """The items of a histogram's ``"bins"`` list as ``render_json``
-    writes them, or None unless each edge is a finite float, each count
-    an int, and bin i's upper edge is bin i+1's lower edge object.
+def _block(items, indent: str, brackets: str) -> str:
+    """The JSON array or object (``brackets`` "[]" or "{}") of ``items``,
+    each already written, on a line that starts with ``indent``."""
+    inner = indent + "  "
+    text = ("," + inner).join(items)
+    return f"{brackets[0]}{inner}{text}{indent}{brackets[1]}" if text else brackets
+
+
+def _histogram_json(ref: str, metric: str, bins: tuple[HistogramBin, ...]) -> str:
+    """The text of a histogram whose edges are finite floats, bin i's upper
+    edge being bin i+1's lower edge object, and whose counts are ints.
 
     Each shared edge is formatted once. A zero-width histogram, one bin
     object repeated before the last, has its repeated bin formatted once.
     """
-    head = bins[0]
-    repeated = len(bins) > 2 and all(map(is_, bins[1:-1], repeat(head)))
-    distinct = (head, bins[-1]) if repeated else bins
-    lowers, uppers, counts = zip(*distinct)
+    if not bins:
+        raise _Uncovered
+    repeated = len(bins) > 2 and all(map(is_, bins[1:-1], repeat(bins[0])))
+    lowers, uppers, counts = zip(*((bins[0], bins[-1]) if repeated else bins))
     edges = (*lowers, uppers[-1])
     if not (all(map(is_, uppers[:-1], lowers[1:]))
             and set(map(type, edges)) == {float} and all(map(isfinite, edges))
             and set(map(type, counts)) == {int}):
-        return None
+        raise _Uncovered
     reprs = list(map(float.__repr__, edges))
     if repeated:
         text = (_BIN % (reprs[0], reprs[1], counts[0]) * (len(bins) - 1)
                 + _BIN % (reprs[1], reprs[2], counts[1]))
     else:
         text = _BIN * len(bins) % (*chain.from_iterable(zip(reprs, reprs[1:], counts)),)
-    return text[1:]
+    return _HISTOGRAM % (text[1:], _quote(ref), _quote(metric))
 
 
-def _write_histograms(histograms, out: list[str]) -> None:
-    """``_write_json`` of ``report_to_dict``'s ``"histograms"`` list at
-    the top level, written from the bins themselves."""
-    if not histograms:
-        out.append("[]")
-        return
-    sep = "[\n    "
-    for ref, metric, bins in histograms:
-        out.append(sep)
-        sep = ",\n    "
-        body = _bins_json(bins) if bins else None
-        if body is None:
-            _write_json(_histogram_dict(ref, metric, bins), out, "\n    ")
-        else:
-            out.append(
-                f'{{\n      "bins": [{body}\n      ],'
-                f'\n      "group_ref": {encode_basestring_ascii(ref)},'
-                f'\n      "metric": {encode_basestring_ascii(metric)}\n    }}'
-            )
-    out.append("\n  ]")
+def _config_json(index: int, label: str) -> str:
+    if type(index) is not int:
+        raise _Uncovered
+    return _CONFIG % (index, _quote(label))
+
+
+def _stats_json(ms: MetricStats | None) -> str:
+    if ms is None:
+        return "null"
+    if not (type(ms.max) is type(ms.median) is type(ms.min) is int
+            and type(ms.mean) is type(ms.variance) is float
+            and isfinite(ms.mean) and isfinite(ms.variance)):
+        raise _Uncovered
+    return _STATS % (ms.max, ms.mean, ms.median, ms.min, ms.variance)
+
+
+def _warning_json(w: Warning) -> str:
+    evidence = dict(w.evidence)  # the last of a repeated key wins
+    for value in (w.score, *evidence.values()):
+        if not (type(value) is float and isfinite(value)):
+            raise _Uncovered
+    pairs = [f"{_quote(k)}: {v!r}" for k, v in sorted(evidence.items())]
+    return _WARNING % (_block(pairs, "\n          ", "{}"), _quote(w.heuristic.value),
+                       _quote(w.metric.value), w.score)
+
+
+def _row_json(row: ReportRow) -> str:
+    s = row.stats
+    if not (type(row.config_index) is type(row.context_index) is type(s.n_cancelled)
+            is type(s.n_complete) is type(s.n_incomplete) is int
+            and type(row.suspiciousness) is float and isfinite(row.suspiciousness)):
+        raise _Uncovered
+    return _ROW % (
+        row.config_index, row.context_index, _quote(row.group_ref), _stats_json(s.latency),
+        _quote(s.mechanism.value), s.n_cancelled, s.n_complete, s.n_incomplete,
+        _stats_json(s.queuing), row.suspiciousness,
+        _block(map(_warning_json, row.warnings), "\n      ", "[]"),
+    )
+
+
+def _json_pieces(report: DiagnosisReport):
+    """Yield ``render_json``'s text, a piece per item of each top-level list."""
+    sections = (
+        ("config_entries", starmap(_config_json, report.config_entries)),
+        ("contexts", (_block(map(_quote, frames), "\n    ", "[]") for frames in report.contexts)),
+        ("histograms", starmap(_histogram_json, report.histograms)),
+        ("rows", map(_row_json, report.rows)),
+    )
+    head = '{\n  "'
+    for key, items in sections:
+        yield f'{head}{key}": ['
+        head = ',\n  "'
+        sep = "\n    "
+        for item in items:
+            yield sep
+            yield item
+            sep = ",\n    "
+        yield "\n  ]" if sep[0] == "," else "]"
+    yield "\n}\n"
 
 
 def render_json(report: DiagnosisReport) -> bytes:
     """``json.dumps(report_to_dict(report), indent=2, sort_keys=True)``
-    and a newline, byte for byte."""
-    doc = _dict_without_histograms(report)
-    out: list[str] = []
-    sep = "{\n  "
-    for key in sorted([*doc, "histograms"]):
-        out.append(f"{sep}{encode_basestring_ascii(key)}: ")
-        sep = ",\n  "
-        if key == "histograms":
-            _write_histograms(report.histograms, out)
-        else:
-            _write_json(doc[key], out, "\n  ")
-    out.append("\n}\n")
-    return "".join(out).encode("utf-8")
+    and a newline, byte for byte: written from templates, or through
+    ``json.dumps`` when a count is not exactly an ``int``, a number not a
+    finite ``float``, a string not a ``str``, or bins not as built."""
+    try:
+        text = "".join(_json_pieces(report))  # drops the pieces before encoding
+    except (_Uncovered, TypeError):  # TypeError: _quote of a non-str
+        text = json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
+    return text.encode()
 
 
 def write_histogram_csvs(report: DiagnosisReport, directory) -> list[str]:

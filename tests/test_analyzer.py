@@ -3,6 +3,7 @@ oracles for the derived values."""
 
 import dataclasses
 import math
+import pathlib
 import random
 import statistics
 
@@ -24,6 +25,7 @@ from asyncscope.analyzer import (
     suspiciousness,
 )
 from asyncscope.analyzer import Warning as HeuristicWarning
+from asyncscope.cli import EXIT_DATA, main as cli_main
 from asyncscope.trace_model import (
     EventKind,
     ExecutionContext,
@@ -380,3 +382,15 @@ def test_config_rejects_nan_threshold(tmp_path, name):
     path.write_text(f"{name} = nan\n")
     with pytest.raises(ValueError, match=name):
         HeuristicConfig.from_file(path)
+
+
+def test_config_rejects_a_key_given_twice(tmp_path, capsys):
+    path = tmp_path / "twice.cfg"
+    path.write_text("cv_threshold = 2\n# again\ncv_threshold = 3\n")
+    with pytest.raises(ValueError) as exc_info:
+        HeuristicConfig.from_file(path)
+    assert str(exc_info.value) == f"{path}:3: cv_threshold given twice (first at line 1)"
+    trace = pathlib.Path(__file__).parent / "data" / "sequential_execute.pdt"
+    for argv in (["demo", "sequential_execute"], ["analyze", str(trace)]):
+        assert cli_main([*argv, "--config", str(path)]) == EXIT_DATA
+        assert "cv_threshold given twice" in capsys.readouterr().err

@@ -4,16 +4,19 @@ import dataclasses
 import json
 import math
 import pathlib
+from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from asyncscope.analyzer import GroupStats, Heuristic, Metric, MetricStats
 from asyncscope.analyzer import Warning as HeuristicWarning
 from asyncscope.report import (
     DiagnosisReport,
     HistogramBin,
-    _write_json,
+    ReportRow,
     build_report,
     format_duration,
     histogram,
@@ -24,7 +27,7 @@ from asyncscope.report import (
 )
 from asyncscope.scenarios import SCENARIOS, run_scenario
 from asyncscope.tracelog import parse_trace, read_trace
-from asyncscope.trace_model import TraceSession
+from asyncscope.trace_model import ExecutionContext, Mechanism, TraceSession
 
 DATA = pathlib.Path(__file__).parent / "data"
 MS = 1_000_000
@@ -152,57 +155,113 @@ def test_golden_json_fixture():
     assert render_json(report) == (DATA / "sequential_execute.json").read_bytes()
 
 
-def _dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
+def _json_dumps_of(report) -> bytes:
+    """What render_json must write: json.dumps of report_to_dict, and a newline."""
+    return (json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n").encode()
 
 
 _SCENARIO_REPORTS = {name: [name] for name in sorted(SCENARIOS)}
 _SCENARIO_REPORTS["all merged"] = sorted(SCENARIOS)
 
 
+def _templates_only():
+    """Fail a render_json that falls back to json.dumps."""
+    return mock.patch("asyncscope.report.report_to_dict", side_effect=AssertionError("fell back"))
+
+
 @pytest.mark.parametrize("names", _SCENARIO_REPORTS.values(), ids=_SCENARIO_REPORTS)
 def test_render_json_is_json_dumps(names):
     report = build_report([run_scenario(name).session for name in names])
-    assert render_json(report) == (_dumps(report_to_dict(report)) + "\n").encode()
+    expected = _json_dumps_of(report)
+    with _templates_only():
+        assert render_json(report) == expected
 
 
-def _hand_built(histograms) -> DiagnosisReport:
-    return DiagnosisReport(
-        config_entries=((0, "cfg é"),),
-        rows=(),
-        contexts=(("app.main:run", "lib.io:read \u2028"),),
-        histograms=tuple(histograms),
-    )
+def _hand_built(histograms=(), rows=(), contexts=(("app.main:run", "lib.io:read \u2028"),),
+                config_entries=((0, "cfg é"),)) -> DiagnosisReport:
+    return DiagnosisReport(config_entries=tuple(config_entries), rows=tuple(rows),
+                           contexts=tuple(contexts), histograms=tuple(histograms))
+
+
+_STATS = MetricStats(mean=2.5, variance=0.25, median=2, min=2, max=3)
+_ROW = ReportRow(
+    group_ref="0-0", context_index=0, config_index=0,
+    stats=GroupStats(ExecutionContext(("app.main:run",)), Mechanism.POOL_EXECUTOR,
+                     n_complete=3, n_incomplete=1, n_cancelled=0, queuing=_STATS,
+                     latency=_STATS),
+    warnings=(HeuristicWarning(Metric.LATENCY, Heuristic.MAX_MIN_SPREAD, 1.5,
+                               (("min_ns", 2.0), ("max_ns", 3.0))),),
+    suspiciousness=1.5,
+)
+
+
+def _stats_with(**fields) -> DiagnosisReport:
+    return _hand_built(rows=[replace(_ROW, stats=replace(_ROW.stats, **fields))])
+
+
+def _warning_with(**fields) -> DiagnosisReport:
+    return _hand_built(rows=[replace(_ROW, warnings=(replace(_ROW.warnings[0], **fields),))])
 
 
 _SHARED = 2.5  # one edge object, the upper of one bin and the lower of the next
 _HAND_BUILT = {
-    "no histograms": (),
-    "bins=1": [("0-0", "queuing", tuple(histogram([5, 9], 1)))],
-    "zero width": [("0-0", "latency", tuple(histogram([7] * 4, bins)))
-                   for bins in (1, 2, 3, 20)],
-    "non-finite edges": [
+    "no histograms": _hand_built(),
+    "bins=1": _hand_built([("0-0", "queuing", tuple(histogram([5, 9], 1)))]),
+    "zero width": _hand_built([("0-0", "latency", tuple(histogram([7] * 4, bins)))
+                               for bins in (1, 2, 3, 20)]),
+    "non-finite edges": _hand_built([
         ("0-0", "queuing", (HistogramBin(math.nan, 1.0, 1), HistogramBin(1.0, 2.0, 2))),
         ("0-0", "latency", (HistogramBin(0.0, math.inf, 1),)),
         ("0-1", "queuing", (HistogramBin(-math.inf, 3.0, 0), HistogramBin(3.0, 4.0, 1))),
-    ],
-    "int edges": [("0-0", "queuing", (HistogramBin(0, 5, 1), HistogramBin(5, 10, 2)))],
-    "non-ascii group_ref": [("0-é😀\u2028", "latency", tuple(histogram([1, 2, 30], 4)))],
-    "signed zeros": [("0-0", "queuing", (HistogramBin(-0.0, 0.0, 1), HistogramBin(-0.0, 1.0, 2)))],
-    "bool count": [("0-0", "queuing", (HistogramBin(0.0, 1.0, True),))],
-    "no bins": [("0-0", "queuing", ())],
-    "one bin repeated": [("0-0", "queuing", (HistogramBin(1.5, _SHARED, 3),) * 3
-                          + (HistogramBin(_SHARED, 4.0, 1),))],
-    "equal bins, not one object": [("0-0", "queuing", (
+    ]),
+    "int edges": _hand_built([("0-0", "queuing", (HistogramBin(0, 5, 1), HistogramBin(5, 10, 2)))]),
+    "non-ascii group_ref": _hand_built([("0-é😀\u2028", "latency", tuple(histogram([1, 2, 30], 4)))]),
+    "signed zeros": _hand_built(
+        [("0-0", "queuing", (HistogramBin(-0.0, 0.0, 1), HistogramBin(-0.0, 1.0, 2)))]),
+    "bool count": _hand_built([("0-0", "queuing", (HistogramBin(0.0, 1.0, True),))]),
+    "no bins": _hand_built([("0-0", "queuing", ())]),
+    "one bin repeated": _hand_built([("0-0", "queuing", (HistogramBin(1.5, _SHARED, 3),) * 3
+                                      + (HistogramBin(_SHARED, 4.0, 1),))]),
+    "equal bins, not one object": _hand_built([("0-0", "queuing", (
         HistogramBin(0.0, _SHARED, 1), HistogramBin(-0.0, _SHARED, 1),
-        HistogramBin(0.0, _SHARED, True), HistogramBin(_SHARED, 4.0, 1)))],
+        HistogramBin(0.0, _SHARED, True), HistogramBin(_SHARED, 4.0, 1)))]),
+    # Rows, contexts and config entries.
+    "row": _hand_built(rows=[_ROW]),
+    **{f"bool {name}": _stats_with(**{name: True})
+       for name in ("n_complete", "n_incomplete", "n_cancelled")},
+    **{f"bool {f.name}": _stats_with(latency=replace(_STATS, **{f.name: True}))
+       for f in dataclasses.fields(MetricStats)},
+    **{f"bool {name}": _hand_built(rows=[replace(_ROW, **{name: True})])
+       for name in ("config_index", "context_index", "suspiciousness")},
+    "float config_index": _hand_built(rows=[replace(_ROW, config_index=0.0)]),
+    "NaN mean": _stats_with(queuing=replace(_STATS, mean=math.nan)),
+    "inf variance": _stats_with(latency=replace(_STATS, variance=math.inf)),
+    "None stats": _stats_with(queuing=None, latency=None),
+    "NaN suspiciousness": _hand_built(rows=[replace(_ROW, suspiciousness=math.nan)]),
+    "-inf score": _warning_with(score=-math.inf),
+    "inf evidence": _warning_with(evidence=(("cv", math.inf),)),
+    "NaN evidence": _warning_with(evidence=(("max_ns", 3.0), ("cv", math.nan))),
+    "bool score": _warning_with(score=False),
+    "bool evidence": _warning_with(evidence=(("cv", True),)),
+    "duplicate evidence keys": _warning_with(
+        evidence=(("max_ns", 1.0), ("cv", 2.0), ("max_ns", 3.0))),
+    "non-str evidence key": _warning_with(evidence=((7, 2.0),)),
+    "no evidence": _warning_with(evidence=()),
+    "no warnings": _hand_built(rows=[replace(_ROW, warnings=())]),
+    "no contexts or config entries": _hand_built(contexts=(), config_entries=()),
+    "no frames": _hand_built(contexts=((), ("a:b:1",))),
+    "control characters": _hand_built(
+        rows=[replace(_ROW, group_ref="0-\x00\x1f\t\"\\é😀")],
+        contexts=(("\x00:\x7f:1", "é\u2028:😀:2"),), config_entries=((0, "\n\x1b\"q\" é"),)),
+    "non-str label": _hand_built(config_entries=((0, None), (1, 5))),
+    "non-str frame": _hand_built(contexts=(("a:b:1", 3),)),
+    "bool config entry index": _hand_built(config_entries=((True, "x"),)),
 }
 
 
-@pytest.mark.parametrize("histograms", _HAND_BUILT.values(), ids=_HAND_BUILT)
-def test_render_json_of_hand_built_report_is_json_dumps(histograms):
-    report = _hand_built(histograms)
-    assert render_json(report) == (_dumps(report_to_dict(report)) + "\n").encode()
+@pytest.mark.parametrize("report", _HAND_BUILT.values(), ids=_HAND_BUILT)
+def test_render_json_of_hand_built_report_is_json_dumps(report):
+    assert render_json(report) == _json_dumps_of(report)
 
 
 @settings(max_examples=200)
@@ -213,33 +272,35 @@ def test_render_json_of_hand_built_report_is_json_dumps(histograms):
 def test_render_json_of_histograms_is_json_dumps(entries):
     report = _hand_built(
         (ref, metric, tuple(histogram(values, bins))) for ref, metric, values, bins in entries)
-    assert render_json(report) == (_dumps(report_to_dict(report)) + "\n").encode()
+    assert render_json(report) == _json_dumps_of(report)
 
 
+_ints = st.integers(-(10**20), 10**20)
 _floats = st.one_of(
-    st.floats(), st.sampled_from([-0.0, 0.0, 1e16, math.nan, math.inf, -math.inf]))
-_scalars = st.one_of(
-    st.none(), st.booleans(), st.integers(), st.integers(-(10**40), 10**40),
-    _floats, st.text(),
-    st.sampled_from(["é\u2028😀", '"q"', "back\\slash", "\x00\x1f\t\n"]),
-)
-_bins = st.tuples(_floats, _floats, st.integers()).map(list)
-_documents = st.recursive(
-    st.one_of(_scalars, _bins),
-    lambda inner: st.one_of(
-        st.lists(inner, max_size=5),
-        st.dictionaries(st.text(max_size=8), inner, max_size=5),
-    ),
-    max_leaves=40,
-)
+    st.floats(allow_nan=False, allow_infinity=False), st.sampled_from([-0.0, 1e16, 1e-300]))
+_texts = st.one_of(st.text(), st.sampled_from(["é\u2028😀", '"q"', "back\\slash", "\x00\x1f\t\n"]))
+_metric_stats = st.none() | st.builds(MetricStats, _floats, _floats, _ints, _ints, _ints)
+_warnings = st.builds(
+    HeuristicWarning, st.sampled_from(Metric), st.sampled_from(Heuristic), _floats,
+    st.lists(st.tuples(st.one_of(_texts, st.sampled_from(["cv", "max_ns"])), _floats),
+             max_size=4).map(tuple))
+_rows = st.builds(
+    ReportRow, _texts, _ints, _ints,
+    st.builds(GroupStats, st.just(ExecutionContext(())), st.sampled_from(Mechanism),
+              _ints, _ints, _ints, _metric_stats, _metric_stats),
+    st.lists(_warnings, max_size=3).map(tuple), _floats)
 
 
-@settings(max_examples=500)
-@given(_documents)
-def test_json_writer_matches_json_dumps(doc):
-    out = []
-    _write_json(doc, out, "\n")
-    assert "".join(out) == _dumps(doc)
+@settings(max_examples=300)
+@given(st.lists(_rows, max_size=4), st.lists(st.lists(_texts, max_size=4), max_size=3),
+       st.lists(st.tuples(_ints, _texts), max_size=3))
+def test_json_writer_matches_json_dumps(rows, contexts, config_entries):
+    """Rows, contexts and config entries of the report's own types are
+    written from templates, as json.dumps writes them."""
+    report = _hand_built(rows=rows, contexts=contexts, config_entries=config_entries)
+    expected = _json_dumps_of(report)
+    with _templates_only():
+        assert render_json(report) == expected
 
 
 def test_empty_report_has_no_rows():

@@ -1,5 +1,6 @@
 """Tests of the repository's scripts."""
 
+import ast
 import importlib.util
 import os
 import pathlib
@@ -8,7 +9,8 @@ import sys
 
 import pytest
 
-SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def _load(name):
@@ -50,3 +52,37 @@ def test_trace_digest_runs_without_pythonpath(tmp_path):
     lines = proc.stdout.splitlines()
     assert len(lines) == 37
     assert lines[-1].endswith("  (all)")
+
+
+def test_trace_digest_names_a_scenario_whose_json_is_not_json_dumps(monkeypatch, capsys):
+    digest = _load("trace_digest")
+    render_json = digest.render_json
+    monkeypatch.setattr(digest, "render_json",
+                        lambda report: render_json(report).replace(b"sequential_execute", b"x"))
+    assert digest.main() == 1
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == 37
+    assert err == "render_json differs from json.dumps for: sequential_execute\n"
+
+
+def test_golden_trace_frames_still_name_their_functions():
+    """The golden trace records where its tasks were scheduled, down to
+    regen_goldens.py's own lines, so moving one of those lines out of its
+    function would make a regeneration rewrite every fixture."""
+    pdt = ROOT / "tests" / "data" / "sequential_execute.pdt"
+    ctx = next(line for line in pdt.read_text().splitlines() if line.startswith("PD2|CTX|"))
+    for frame in ctx.split("|", 3)[3].split(";"):
+        module, function, line = frame.rsplit(":", 2)
+        path = (SCRIPTS / "regen_goldens.py" if module == "__main__"
+                else ROOT / "src" / f"{module.replace('.', '/')}.py")
+        tree = ast.parse(path.read_text())
+        if function == "<module>":
+            spans = [node for node in tree.body
+                     if not isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        else:
+            spans = [node for node in ast.walk(tree)
+                     if isinstance(node, ast.FunctionDef) and node.name == function]
+        assert any(node.lineno <= int(line) <= node.end_lineno for node in spans), (
+            f"{pdt.name} records {frame}, but line {line} of {path.name} is not in "
+            f"{function} any more: keep the lines the fixtures record where they are, "
+            "or regenerate tests/data/ on purpose with scripts/regen_goldens.py")
