@@ -23,7 +23,7 @@ from .analyzer import (
 from .clock import ClockMode, ClockSource, RealMonotonicClock, VirtualClock
 from .report import (
     DiagnosisReport,
-    HistogramBin,
+    Histogram,
     ReportRow,
     build_report,
     histogram,
@@ -73,7 +73,7 @@ __all__ = [
     "AsyncFacade", "CancelOutcome", "CancelToken", "ClockMode", "ClockSource",
     "DiagnosisReport", "DrainTimeout", "EventKind", "ExecutionContext",
     "GroupStats", "Heuristic", "HeuristicConfig",
-    "HistogramBin", "LineageSet", "Mechanism", "Metric",
+    "Histogram", "LineageSet", "Mechanism", "Metric",
     "MetricStats", "PoolExecutor", "ProfilerError", "ProfilerSession",
     "QueueFull", "RealMonotonicClock", "ReportRow", "SCENARIOS", "Scenario",
     "ScenarioResult", "SerialQueueExecutor", "SessionClosed", "Task",

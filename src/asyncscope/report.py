@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain, repeat, starmap
+from itertools import chain, starmap
 from json.encoder import encode_basestring_ascii as _quote
 from math import isfinite
-from operator import is_
 from typing import NamedTuple
 
 from .analyzer import (
@@ -34,10 +33,19 @@ from .trace_model import TraceSession, correlate
 DEFAULT_BINS = 20
 
 
-class HistogramBin(NamedTuple):
-    lower_ns: float
-    upper_ns: float
-    count: int
+class Histogram(NamedTuple):
+    """Counts in equal-width bins over [lo, hi], the least and greatest value."""
+
+    lo: int
+    hi: int
+    counts: tuple[int, ...]
+
+    def edges(self) -> list[float]:
+        """``lo + i*width`` for each bin i, then ``float(hi)``."""
+        width = (self.hi - self.lo) / (len(self.counts) or 1)  # no counts: no bins
+        edges = [self.lo + i * width for i in range(len(self.counts))]
+        edges.append(float(self.hi))
+        return edges
 
 
 @dataclass(frozen=True)
@@ -55,35 +63,27 @@ class DiagnosisReport:
     config_entries: tuple[tuple[int, str], ...]
     rows: tuple[ReportRow, ...]
     contexts: tuple[tuple[str, ...], ...]
-    # (group_ref, metric name) -> bins
-    histograms: tuple[tuple[str, str, tuple[HistogramBin, ...]], ...]
+    histograms: tuple[tuple[str, str, Histogram], ...]  # (group_ref, metric name, histogram)
 
 
-def histogram(values: list[int], bins: int) -> list[HistogramBin]:
-    """Equal-width bins over [min, max]; the max lands in the last bin.
-
-    Bin i spans ``lo + i*width`` to ``lo + (i+1)*width``, and the last
-    bin ends at ``float(hi)``. Adjacent bins share their edge object.
-    """
+def histogram(values: list[int], bins: int) -> Histogram:
+    """Count values into equal-width bins over [min, max]; the max, and
+    every value of a zero-width range, lands in the last bin."""
     if not values:
         raise ValueError("values must be non-empty")
     if bins < 1:
         raise ValueError("bins must be positive")
     lo, hi = min(values), max(values)
-    width = (hi - lo) / bins
-    last = bins - 1
-    if width == 0:
-        # Every edge is lo + 0.0: one shared empty bin, then the last.
-        edge = lo + width
-        return [HistogramBin(edge, edge, 0)] * last + [
-            HistogramBin(edge, float(hi), len(values))]
     counts = [0] * bins
-    for v in values:
-        idx = int((v - lo) / width)
-        counts[idx if idx < last else last] += 1
-    edges = [lo + i * width for i in range(bins)]
-    edges.append(float(hi))
-    return list(map(tuple.__new__, repeat(HistogramBin), zip(edges, edges[1:], counts)))
+    last = bins - 1
+    if lo == hi:
+        counts[last] = len(values)
+    else:
+        width = (hi - lo) / bins
+        for v in values:
+            idx = int((v - lo) / width)
+            counts[idx if idx < last else last] += 1
+    return Histogram(lo, hi, tuple(counts))
 
 
 def build_report(
@@ -119,12 +119,10 @@ def build_report(
             ))
             if queuing_values:
                 histograms.append(
-                    (ref, Metric.QUEUING.value, tuple(histogram(queuing_values, DEFAULT_BINS)))
-                )
+                    (ref, Metric.QUEUING.value, histogram(queuing_values, DEFAULT_BINS)))
             if latency_values:
                 histograms.append(
-                    (ref, Metric.LATENCY.value, tuple(histogram(latency_values, DEFAULT_BINS)))
-                )
+                    (ref, Metric.LATENCY.value, histogram(latency_values, DEFAULT_BINS)))
     rows.sort(key=_rank_key)
     return DiagnosisReport(
         config_entries=tuple(config_entries),
@@ -241,15 +239,14 @@ def report_to_dict(report: DiagnosisReport) -> dict:
             for row in report.rows
         ],
         "contexts": [list(frames) for frames in report.contexts],
-        "histograms": [
-            {
-                "group_ref": ref,
-                "metric": metric,
-                "bins": [[b.lower_ns, b.upper_ns, b.count] for b in bins],
-            }
-            for ref, metric, bins in report.histograms
-        ],
+        "histograms": list(starmap(_histogram_dict, report.histograms)),
     }
+
+
+def _histogram_dict(ref: str, metric: str, h: Histogram) -> dict:
+    edges = h.edges()  # bin i spans edges[i] to edges[i + 1]
+    return {"group_ref": ref, "metric": metric,
+            "bins": list(map(list, zip(edges, edges[1:], h.counts)))}
 
 
 class _Uncovered(Exception):
@@ -275,8 +272,10 @@ _WARNING = (
     '{\n          "evidence": %s,\n          "heuristic": %s,\n          "metric": %s,'
     '\n          "score": %r\n        }'
 )
-# One histogram bin, after the comma that separates it from the previous one.
-_BIN = ",\n        [\n          %s,\n          %s,\n          %d\n        ]"
+# One histogram bin, after the comma before it. _BIN_OF_COUNT takes the two
+# edges and leaves the count's %d; _BIN takes all three.
+_BIN_OF_COUNT = ",\n        [\n          %s,\n          %s,\n          %%d\n        ]"
+_BIN = _BIN_OF_COUNT % ("%s", "%s")
 
 
 def _block(items, indent: str, brackets: str) -> str:
@@ -287,28 +286,23 @@ def _block(items, indent: str, brackets: str) -> str:
     return f"{brackets[0]}{inner}{text}{indent}{brackets[1]}" if text else brackets
 
 
-def _histogram_json(ref: str, metric: str, bins: tuple[HistogramBin, ...]) -> str:
-    """The text of a histogram whose edges are finite floats, bin i's upper
-    edge being bin i+1's lower edge object, and whose counts are ints.
+def _histogram_json(ref: str, metric: str, h: Histogram) -> str:
+    """The text of a histogram whose range is two ints and whose counts are
+    a non-empty tuple of ints, so that its edges are finite floats.
 
-    Each shared edge is formatted once. A zero-width histogram, one bin
-    object repeated before the last, has its repeated bin formatted once.
+    Each edge is formatted once. A zero-width histogram's edges are all
+    ``float(lo)``, so one text serves every bin's two edges.
     """
-    if not bins:
-        raise _Uncovered
-    repeated = len(bins) > 2 and all(map(is_, bins[1:-1], repeat(bins[0])))
-    lowers, uppers, counts = zip(*((bins[0], bins[-1]) if repeated else bins))
-    edges = (*lowers, uppers[-1])
-    if not (all(map(is_, uppers[:-1], lowers[1:]))
-            and set(map(type, edges)) == {float} and all(map(isfinite, edges))
+    lo, hi, counts = h
+    if not (type(lo) is type(hi) is int and type(counts) is tuple
             and set(map(type, counts)) == {int}):
         raise _Uncovered
-    reprs = list(map(float.__repr__, edges))
-    if repeated:
-        text = (_BIN % (reprs[0], reprs[1], counts[0]) * (len(bins) - 1)
-                + _BIN % (reprs[1], reprs[2], counts[1]))
+    if lo == hi:
+        edge = repr(float(lo))
+        text = _BIN_OF_COUNT % (edge, edge) * len(counts) % counts
     else:
-        text = _BIN * len(bins) % (*chain.from_iterable(zip(reprs, reprs[1:], counts)),)
+        reprs = list(map(float.__repr__, h.edges()))
+        text = _BIN * len(counts) % (*chain.from_iterable(zip(reprs, reprs[1:], counts)),)
     return _HISTOGRAM % (text[1:], _quote(ref), _quote(metric))
 
 
@@ -376,8 +370,9 @@ def _json_pieces(report: DiagnosisReport):
 def render_json(report: DiagnosisReport) -> bytes:
     """``json.dumps(report_to_dict(report), indent=2, sort_keys=True)``
     and a newline, byte for byte: written from templates, or through
-    ``json.dumps`` when a count is not exactly an ``int``, a number not a
-    finite ``float``, a string not a ``str``, or bins not as built."""
+    ``json.dumps`` when a count or range is not exactly an ``int``, a
+    number not a finite ``float``, a string not a ``str``, or a histogram
+    has no counts."""
     try:
         text = "".join(_json_pieces(report))  # drops the pieces before encoding
     except (_Uncovered, TypeError):  # TypeError: _quote of a non-str
@@ -391,11 +386,12 @@ def write_histogram_csvs(report: DiagnosisReport, directory) -> list[str]:
 
     os.makedirs(directory, exist_ok=True)
     written = []
-    for ref, metric, bins in report.histograms:
+    for ref, metric, h in report.histograms:
         name = f"{ref}_{metric}.csv"
+        edges = h.edges()
         with open(os.path.join(directory, name), "w", encoding="utf-8", newline="") as fh:
             fh.write("bin_lower_ns,bin_upper_ns,count\n")
-            for b in bins:
-                fh.write(f"{b.lower_ns},{b.upper_ns},{b.count}\n")
+            for lower, upper, count in zip(edges, edges[1:], h.counts):
+                fh.write(f"{lower},{upper},{count}\n")
         written.append(name)
     return written

@@ -346,10 +346,10 @@ def test_criterion_9_report_determinism(capsys):
     jsons = {render_json(r) for r in reports}
     report = reports[0]
     conserve = all(
-        sum(b.count for b in bins) == next(
+        sum(h.counts) == next(
             row.stats.n_complete for row in report.rows if row.group_ref == ref
         )
-        for ref, _metric, bins in report.histograms
+        for ref, _metric, h in report.histograms
     )
     golden_text = render_text(report) == (DATA / "sequential_execute.txt").read_bytes()
     golden_json = render_json(report) == (DATA / "sequential_execute.json").read_bytes()

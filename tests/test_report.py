@@ -15,7 +15,7 @@ from asyncscope.analyzer import GroupStats, Heuristic, Metric, MetricStats
 from asyncscope.analyzer import Warning as HeuristicWarning
 from asyncscope.report import (
     DiagnosisReport,
-    HistogramBin,
+    Histogram,
     ReportRow,
     build_report,
     format_duration,
@@ -41,14 +41,13 @@ def _empty_session(label="empty", session_id="e"):
 
 
 def test_uniform_split_two_bins():
-    bins = histogram([v * MS for v in range(10)], bins=2)
-    assert [b.count for b in bins] == [5, 5]
+    assert histogram([v * MS for v in range(10)], bins=2).counts == (5, 5)
 
 
 def test_single_value_any_bins():
-    bins = histogram([42], bins=7)
-    assert sum(b.count for b in bins) == 1
-    assert bins[-1].count == 1  # zero-width range collapses to the last bin
+    h = histogram([42], bins=7)
+    assert sum(h.counts) == 1
+    assert h.counts[-1] == 1  # zero-width range collapses to the last bin
 
 
 def test_histogram_rejects_degenerate_input():
@@ -64,27 +63,26 @@ def test_histogram_rejects_degenerate_input():
     st.integers(1, 40),
 )
 def test_histogram_counts_conserved(values, bins):
-    out = histogram(values, bins)
-    assert len(out) == bins
+    h = histogram(values, bins)
+    assert type(h) is Histogram and type(h.counts) is tuple
+    lo, hi = min(values), max(values)
+    assert (h.lo, h.hi) == (lo, hi)
+    assert len(h.counts) == bins
     # Bin i is (lo + i*w, lo + (i+1)*w, count), the last ending at float(hi),
     # bit for bit: repr tells -0.0 from 0.0 and 1 from 1.0.
-    lo, hi = min(values), max(values)
     w = (hi - lo) / bins
     counts = [0] * bins
     for v in values:
         counts[min(int((v - lo) / w), bins - 1) if w else bins - 1] += 1
     expected = [(lo + i * w, lo + (i + 1) * w, c) for i, c in enumerate(counts)]
     expected[-1] = (expected[-1][0], float(hi), counts[-1])
+    edges = h.edges()
+    out = list(zip(edges, edges[1:], h.counts))
     assert [tuple(map(repr, b)) for b in out] == [tuple(map(repr, b)) for b in expected]
-    assert all(type(b) is HistogramBin for b in out)
-    assert sum(b.count for b in out) == len(values)
-    # Every value falls inside exactly one bin's [lower, upper] span.
+    assert sum(h.counts) == len(values)
+    # Every value falls inside a counted bin's [lower, upper] span.
     for v in values:
-        holders = [
-            b for b in out
-            if b.lower_ns <= v <= b.upper_ns and b.count > 0
-        ]
-        assert holders
+        assert any(lower <= v <= upper and count > 0 for lower, upper, count in out)
 
 
 # -- assembly and ranking ------------------------------------------------------------
@@ -203,28 +201,31 @@ def _warning_with(**fields) -> DiagnosisReport:
     return _hand_built(rows=[replace(_ROW, warnings=(replace(_ROW.warnings[0], **fields),))])
 
 
-_SHARED = 2.5  # one edge object, the upper of one bin and the lower of the next
+# Histograms with an int range and int counts that histogram() does not build.
+_INT_RANGES = {
+    "zero width, counts in every bin": Histogram(7, 7, (1, 2, 3)),
+    "hi below lo": Histogram(9, -3, (1, 0, 2)),
+    "one bin": Histogram(-5, 10**15, (4,)),
+}
 _HAND_BUILT = {
     "no histograms": _hand_built(),
-    "bins=1": _hand_built([("0-0", "queuing", tuple(histogram([5, 9], 1)))]),
-    "zero width": _hand_built([("0-0", "latency", tuple(histogram([7] * 4, bins)))
+    "bins=1": _hand_built([("0-0", "queuing", histogram([5, 9], 1))]),
+    "zero width": _hand_built([("0-0", "latency", histogram([7] * 4, bins))
                                for bins in (1, 2, 3, 20)]),
+    "float range": _hand_built([("0-0", "queuing", Histogram(0.5, 10.0, (1, 2)))]),
     "non-finite edges": _hand_built([
-        ("0-0", "queuing", (HistogramBin(math.nan, 1.0, 1), HistogramBin(1.0, 2.0, 2))),
-        ("0-0", "latency", (HistogramBin(0.0, math.inf, 1),)),
-        ("0-1", "queuing", (HistogramBin(-math.inf, 3.0, 0), HistogramBin(3.0, 4.0, 1))),
+        ("0-0", "queuing", Histogram(math.nan, 2, (1, 2))),
+        ("0-0", "latency", Histogram(0, math.inf, (1,))),
+        ("0-1", "queuing", Histogram(-math.inf, 4, (0, 1))),
+        ("0-1", "latency", Histogram(math.nan, math.nan, (0, 3))),
     ]),
-    "int edges": _hand_built([("0-0", "queuing", (HistogramBin(0, 5, 1), HistogramBin(5, 10, 2)))]),
-    "non-ascii group_ref": _hand_built([("0-é😀\u2028", "latency", tuple(histogram([1, 2, 30], 4)))]),
-    "signed zeros": _hand_built(
-        [("0-0", "queuing", (HistogramBin(-0.0, 0.0, 1), HistogramBin(-0.0, 1.0, 2)))]),
-    "bool count": _hand_built([("0-0", "queuing", (HistogramBin(0.0, 1.0, True),))]),
-    "no bins": _hand_built([("0-0", "queuing", ())]),
-    "one bin repeated": _hand_built([("0-0", "queuing", (HistogramBin(1.5, _SHARED, 3),) * 3
-                                      + (HistogramBin(_SHARED, 4.0, 1),))]),
-    "equal bins, not one object": _hand_built([("0-0", "queuing", (
-        HistogramBin(0.0, _SHARED, 1), HistogramBin(-0.0, _SHARED, 1),
-        HistogramBin(0.0, _SHARED, True), HistogramBin(_SHARED, 4.0, 1)))]),
+    "non-ascii group_ref": _hand_built([("0-é😀\u2028", "latency", histogram([1, 2, 30], 4))]),
+    "signed zeros": _hand_built([("0-0", "queuing", Histogram(-0.0, 0.0, (1, 2))),
+                                 ("0-0", "latency", Histogram(-0.0, -0.0, (1, 2)))]),
+    "bool lo": _hand_built([("0-0", "queuing", Histogram(True, 4, (1, 2)))]),
+    "bool count": _hand_built([("0-0", "queuing", Histogram(0, 1, (True,)))]),
+    "list counts": _hand_built([("0-0", "queuing", Histogram(0, 4, [1, 2]))]),
+    "no bins": _hand_built([("0-0", "queuing", Histogram(0, 1, ()))]),
     # Rows, contexts and config entries.
     "row": _hand_built(rows=[_ROW]),
     **{f"bool {name}": _stats_with(**{name: True})
@@ -264,6 +265,19 @@ def test_render_json_of_hand_built_report_is_json_dumps(report):
     assert render_json(report) == _json_dumps_of(report)
 
 
+@pytest.mark.parametrize("h", _INT_RANGES.values(), ids=_INT_RANGES)
+def test_render_json_writes_any_int_range_from_templates(h):
+    report = _hand_built([("0-0", "latency", h)])
+    expected = _json_dumps_of(report)
+    with _templates_only():
+        assert render_json(report) == expected
+
+
+def test_histogram_with_no_counts_has_no_bins():
+    doc = json.loads(render_json(_hand_built([("0-0", "queuing", Histogram(0, 1, ()))])))
+    assert doc["histograms"][0]["bins"] == []
+
+
 @settings(max_examples=200)
 @given(st.lists(st.tuples(
     st.text(max_size=6), st.sampled_from(["queuing", "latency"]),
@@ -271,7 +285,7 @@ def test_render_json_of_hand_built_report_is_json_dumps(report):
 ), max_size=4))
 def test_render_json_of_histograms_is_json_dumps(entries):
     report = _hand_built(
-        (ref, metric, tuple(histogram(values, bins))) for ref, metric, values, bins in entries)
+        (ref, metric, histogram(values, bins)) for ref, metric, values, bins in entries)
     assert render_json(report) == _json_dumps_of(report)
 
 
@@ -316,3 +330,18 @@ def test_histogram_csvs(tmp_path):
     assert lines[0] == "bin_lower_ns,bin_upper_ns,count"
     counts = [int(line.rsplit(",", 1)[1]) for line in lines[1:]]
     assert sum(counts) == 6
+
+
+def test_histogram_csvs_agree_with_json(tmp_path):
+    names = sorted(SCENARIOS)
+    report = build_report([run_scenario(name).session for name in names])
+    write_histogram_csvs(report, tmp_path)
+    histograms = report_to_dict(report)["histograms"]
+    for h in histograms:
+        lines = (tmp_path / f"{h['group_ref']}_{h['metric']}.csv").read_text().splitlines()
+        assert lines[1:] == [f"{lo!r},{hi!r},{count}" for lo, hi, count in h["bins"]]
+    # sequential_execute's tasks all take the same time: a zero-width histogram.
+    ref = f"{names.index('sequential_execute')}-"
+    (latency,) = [h["bins"] for h in histograms
+                  if h["group_ref"].startswith(ref) and h["metric"] == "latency"]
+    assert len({edge for lo, hi, _ in latency for edge in (lo, hi)}) == 1

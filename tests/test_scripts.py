@@ -67,12 +67,16 @@ def test_trace_digest_names_a_scenario_whose_json_is_not_json_dumps(monkeypatch,
 
 def test_golden_trace_frames_still_name_their_functions():
     """The golden trace records where its tasks were scheduled, down to
-    regen_goldens.py's own lines, so moving one of those lines out of its
-    function would make a regeneration rewrite every fixture."""
+    regen_goldens.py's own lines, so moving one of those lines would make
+    a regeneration rewrite every fixture. Each frame's line must still be
+    in its function, and each of the script's lines must still call the
+    function of the frame inside it."""
     pdt = ROOT / "tests" / "data" / "sequential_execute.pdt"
     ctx = next(line for line in pdt.read_text().splitlines() if line.startswith("PD2|CTX|"))
-    for frame in ctx.split("|", 3)[3].split(";"):
+    inner = None  # the function of the frame inside this one
+    for frame in ctx.split("|", 3)[3].split(";"):  # innermost first
         module, function, line = frame.rsplit(":", 2)
+        line = int(line)
         path = (SCRIPTS / "regen_goldens.py" if module == "__main__"
                 else ROOT / "src" / f"{module.replace('.', '/')}.py")
         tree = ast.parse(path.read_text())
@@ -82,7 +86,14 @@ def test_golden_trace_frames_still_name_their_functions():
         else:
             spans = [node for node in ast.walk(tree)
                      if isinstance(node, ast.FunctionDef) and node.name == function]
-        assert any(node.lineno <= int(line) <= node.end_lineno for node in spans), (
+        calls = {node.func.id for node in ast.walk(tree) if isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Name) and node.lineno <= line <= node.end_lineno}
+        fix = ("keep the lines the fixtures record where they are, or regenerate "
+               "tests/data/ on purpose with scripts/regen_goldens.py")
+        assert any(node.lineno <= line <= node.end_lineno for node in spans), (
             f"{pdt.name} records {frame}, but line {line} of {path.name} is not in "
-            f"{function} any more: keep the lines the fixtures record where they are, "
-            "or regenerate tests/data/ on purpose with scripts/regen_goldens.py")
+            f"{function} any more: {fix}")
+        assert module != "__main__" or inner in calls, (
+            f"{pdt.name} records {frame}, but line {line} of {path.name} does not call "
+            f"{inner} any more: {fix}")
+        inner = function
