@@ -76,9 +76,8 @@ _SPAWN, _SCHEDULE, _START, _END, _CANCEL = (
     EventKind.CANCEL)
 
 # CO_GENERATOR | CO_COROUTINE | CO_ASYNC_GENERATOR: such a frame's caller
-# changes each time it resumes, so it is never a capture anchor.
+# changes each time it resumes, so a capture never holds it.
 _RESUMABLE = 0x2a0
-_NO_ANCHOR = (None, (), 0, None)
 
 
 class ProfilerError(Exception):
@@ -226,6 +225,12 @@ def _synthetic_body(task: Task):
     return body
 
 
+def _report_exception() -> None:
+    """Hand the exception being handled to ``threading.excepthook``."""
+    threading.excepthook(threading.ExceptHookArgs(
+        (*sys.exc_info(), threading.current_thread())))
+
+
 _SERIAL_MECHANISMS = frozenset({
     Mechanism.HANDLER_LOOPER, Mechanism.ASYNC_QUERY,
     Mechanism.SERIAL_SERVICE, Mechanism.ASYNC_FACADE,
@@ -267,16 +272,14 @@ class ProfilerSession:
             partial(itertools.count, 1))
         self._tasks: dict[str, _TaskState] = {}
         self._outstanding = 0
-        # The capture anchor (frame, its callers' triples, capture depth,
-        # and the contexts captured through it, keyed by the triples walked
-        # below it), the last walk's (id, code) of its second user frame,
-        # the number of full walks, the table from each distinct triples
-        # tuple to the one ExecutionContext that every Schedule of it
-        # carries, and the blank context that the next new tuple takes;
-        # see _capture_context. _assemble fills in the frames of the
-        # table's contexts and empties it.
-        self._anchor = _NO_ANCHOR
-        self._second = None
+        # The held frame, the capture depth it was held at and the contexts
+        # captured below it, keyed by the triples walked down to it; the
+        # number of full walks; the table from each distinct triples tuple
+        # to the one ExecutionContext that every Schedule of it carries;
+        # and the blank context that the next new tuple takes. See
+        # _capture_context. _assemble fills in the frames of the table's
+        # contexts and empties it.
+        self._held = (None, 0, None)
         self._walks = 0
         self._contexts: dict[tuple, ExecutionContext] = {}
         self._blank = _blank_context()
@@ -331,8 +334,7 @@ class ProfilerSession:
         try:
             fn(*args)
         except Exception:
-            threading.excepthook(threading.ExceptHookArgs(
-                (*sys.exc_info(), threading.current_thread())))
+            _report_exception()
         finally:
             tls.ident = prev
 
@@ -341,7 +343,8 @@ class ProfilerSession:
     @property
     def capture_walks(self) -> int:
         """How many context captures walked the stack in full, rather than
-        reusing the anchor's callers. Not written to the trace."""
+        returning a context held for a live frame. Not written to the
+        trace."""
         return self._walks
 
     def _capture_context(self) -> ExecutionContext:
@@ -350,69 +353,59 @@ class ProfilerSession:
 
         Its frames are left empty until drain formats them, to keep the
         submission path cheap. While a plain function frame runs, its
-        callers and their lines cannot change, so a loop that submits need
-        not walk them again. The session keeps one anchor: a live frame,
-        held so that its identity cannot be reused, with its callers'
-        triples. A walk whose first or second user frame is the anchor
-        takes that frame's own triple and reuses the rest, or, when the
-        triples it walked repeat, the context they gave before. Any other
-        walk goes to the end, and adopts its second user frame as the
-        anchor when the walk before it had the same one; an adopting walk
-        takes one user frame more, for the anchor's callers. The session's
-        table gives each distinct triples tuple one context, so a repeat
-        returns the same object and the triples just built for it die at
-        once; a new tuple takes the blank context in one ``setdefault``,
-        which hashes the tuple once. Called with the lock held; drain
-        releases the anchor and the table.
+        callers and their lines cannot change, so the contexts captured
+        below it are a function of the triples walked down to it. The
+        session holds one frame, the last user frame of the first two that
+        its last full walk saw, by a strong reference so that its identity
+        cannot be reused, with the contexts captured below it. A walk whose
+        first or second user frame is the held frame, at the depth it was
+        held at, returns the context its triples down to that frame gave
+        before. Any other walk goes to the end; it adds its context to the
+        held frame's when that frame was among its first two user frames,
+        and otherwise holds its own last such frame in its place, unless
+        that frame is resumable. The session's table gives each distinct
+        triples tuple one context, so a repeat returns the same object and
+        the triples just built for it die at once; a new tuple takes the
+        blank context in one ``setdefault``, which hashes the tuple once.
+        Called with the lock held; drain releases the held frame and the
+        table.
         """
         depth = self.capture_depth
-        anchor, callers, anchor_depth, known = self._anchor
+        held, held_depth, known = self._held
         frames: list = []
         head = 2 if depth > 2 else depth
+        key = last = None
         f = sys._getframe(2)
         while f is not None and len(frames) < head:
             module = f.f_globals.get("__name__", "?")
             if not _is_internal[module]:
                 frames.append((module, f.f_code.co_name, f.f_lineno))
-                if f is anchor and depth == anchor_depth:
-                    inner = tuple(frames)
-                    context = known.get(inner)
-                    if context is None:
-                        context = inner + callers
-                        if len(context) > depth:
-                            context = context[:depth]
-                        blank = self._blank
-                        context = known[inner] = self._contexts.setdefault(
-                            context, blank)
-                        if context is blank:
-                            self._blank = _blank_context()
-                    return context
-                second = f
+                if f is held and depth == held_depth:
+                    key = tuple(frames)
+                    context = known.get(key)
+                    if context is not None:
+                        return context
+                last = f
             f = f.f_back
         self._walks += 1
-        tail = depth
-        if len(frames) == 2:
-            code = second.f_code
-            key = (id(second), code)
-            if key == self._second and not code.co_flags & _RESUMABLE:
-                # Adopt: a hit on the first user frame needs depth - 1 callers.
-                tail = depth + 1
-            self._second = key
-        while f is not None and len(frames) < tail:
+        while f is not None and len(frames) < depth:
             module = f.f_globals.get("__name__", "?")
             if not _is_internal[module]:
                 frames.append((module, f.f_code.co_name, f.f_lineno))
             f = f.f_back
         if not frames:
             frames.append(("<unknown>", "<unknown>", 0))
-        context = tuple(frames)
-        if tail > depth:
-            self._anchor = (second, context[2:], depth, {})
-            context = context[:depth]
+        triples = tuple(frames)
         blank = self._blank
-        context = self._contexts.setdefault(context, blank)
+        context = self._contexts.setdefault(triples, blank)
         if context is blank:
             self._blank = _blank_context()
+        if key is not None:
+            known[key] = context
+        elif last is None or last.f_code.co_flags & _RESUMABLE:
+            self._held = (None, 0, None)
+        else:
+            self._held = (last, depth, {triples[:head]: context})
         return context
 
     # -- task lifecycle ------------------------------------------------------
@@ -579,7 +572,7 @@ class ProfilerSession:
         # unfinished is what the DrainTimeout names.
         with self._lock:
             self._closed = True
-            self._anchor = _NO_ANCHOR
+            self._held = (None, 0, None)
             unfinished = [] if quiesced else [
                 (state, state.status) for state in self._tasks.values()
                 if state.status in ("queued", "running")]
@@ -938,9 +931,7 @@ class _ThreadEngine:
         try:
             body(state.token)
         except Exception:
-            # The worker outlives a raising body; the hook reports it.
-            threading.excepthook(threading.ExceptHookArgs(
-                (*sys.exc_info(), threading.current_thread())))
+            _report_exception()  # the worker outlives a raising body
         return session._finish(state, worker,
                                state.token.cancelled and state.task.cancellation_check)
 

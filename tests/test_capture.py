@@ -1,6 +1,6 @@
-"""Context capture: the anchored walk against the uncached walk it
+"""Context capture: the memoized walk against the uncached walk it
 replaces, the interning of what it returns, the frames drain fills in,
-and the anchor's lifetime.
+and how long the held frame lives.
 
 ``OracleSession`` computes, at every submission, both the session's
 capture and the plain walk below from the same frame, and records any
@@ -96,8 +96,8 @@ def helper(s):
         if i < 10:
             _submit(pool, _task("via-helper"))
         else:
-            # The anchor adopted through the helper is now the first user
-            # frame, and needs one more of its callers.
+            # The frame held through the helper is now the first user
+            # frame: one more full walk, then hits keyed by its triple.
             pool.submit(_task("direct"))
 
 
@@ -175,6 +175,22 @@ def deep(s):
     down(40)
 
 
+def _recurse_and_submit(pool, k):
+    """Submits after its recursive call has returned. Its frame was then
+    the second user frame of the capture just before, whose first two
+    triples equal its own and its caller's, so a memo keyed by those two
+    alone would hand it that capture's context, one frame too long."""
+    if k:
+        _recurse_and_submit(pool, k - 1)
+    pool.submit(_task(f"post-{k}"))
+
+
+def direct_recursion(s):
+    pool = s.pool_executor(core_size=2, max_size=2)
+    for _ in range(3):
+        _recurse_and_submit(pool, 12)
+
+
 def depth_change(s):
     pool = s.pool_executor(core_size=2, max_size=2)
     for i in range(20):
@@ -184,7 +200,8 @@ def depth_change(s):
 
 
 def alternating(s):
-    """A direct submit and one through a helper, in turn: never adopts."""
+    """A direct submit and one through a helper, in turn: the loop's frame
+    is held once both have been seen."""
     pool = s.pool_executor(core_size=2, max_size=2)
     for i in range(20):
         if i % 2:
@@ -214,8 +231,8 @@ def foreign(s):
             submit(pool, _task(f"foreign-{module}"))
 
 
-CASES = [loop, two_lines, helper, recursion, generators, nested, deep,
-         depth_change, alternating, foreign]
+CASES = [loop, two_lines, helper, recursion, direct_recursion, generators,
+         nested, deep, depth_change, alternating, foreign]
 
 
 @pytest.mark.parametrize("depth", [1, 2, 32])
@@ -247,7 +264,7 @@ def test_module_test_agrees_with_startswith():
 
 @pytest.mark.parametrize("case", [loop, alternating])
 def test_one_line_returns_one_tuple(case):
-    """On the anchor's path and on full walks alike."""
+    """On the memo's path and on full walks alike."""
     session = OracleSession(clock=VirtualClock())
     case(session)
     session.drain()
@@ -271,7 +288,8 @@ def test_each_site_shares_one_execution_context(case):
     assert by_site and all(len(ids) == 1 for ids in by_site.values())
 
 
-@pytest.mark.parametrize("case", [loop, two_lines, helper, nested, deep])
+@pytest.mark.parametrize("case", [loop, two_lines, helper, nested, deep,
+                                  alternating])
 def test_loops_reuse_the_anchor(case):
     session = OracleSession(clock=VirtualClock())
     case(session)
@@ -366,16 +384,16 @@ def test_partial_session_carries_formatted_contexts(clock):
 def test_capture_walks_counts_full_walks_only():
     session = ProfilerSession(clock=VirtualClock())
     loop(session)
-    # The first two walks see the same second user frame; the second
-    # adopts it, and the other 18 submissions reuse it.
-    assert session.capture_walks == 2
+    # The first walk holds its second user frame, the loop's caller, and
+    # the other 19 submissions find it.
+    assert session.capture_walks == 1
     session.drain()
     off = ProfilerSession(clock=VirtualClock(), emit_events=False)
     loop(off)
     assert off.capture_walks == 0
 
 
-# -- the anchor's lifetime ------------------------------------------------------
+# -- the held frame's lifetime --------------------------------------------------
 
 
 class _Local:
@@ -383,8 +401,8 @@ class _Local:
 
 
 def _submit_from_loop(s, task, then_drain=False):
-    """Submit through a helper from a loop, so that this frame becomes the
-    anchor, and return a weak reference to one of its locals."""
+    """Submit through a helper from a loop, so that this frame is held, and
+    return a weak reference to one of its locals."""
     local = _Local()
     ref = weakref.ref(local)
     pool = s.pool_executor(core_size=1, max_size=1)
@@ -417,6 +435,25 @@ def test_anchor_released_at_drain_timeout():
     with pytest.raises(DrainTimeout):
         session.drain(timeout_s=1.0)
     assert ref() is None
+
+
+def _site(pool, refs):
+    local = _Local()
+    refs.append(weakref.ref(local))
+    _submit(pool, _task("site"))
+
+
+def test_returned_frames_are_not_held():
+    """Each call of a site is a new frame that the capture holds; the next
+    full walk that does not see it lets it go, with its locals."""
+    session = ProfilerSession(clock=VirtualClock())
+    pool = session.pool_executor(core_size=1, max_size=1)
+    refs = []
+    for _ in range(6):
+        _site(pool, refs)
+    pool.submit(_task("elsewhere"))
+    assert [ref() for ref in refs] == [None] * 6
+    session.drain()
 
 
 def test_a_second_drain_gives_the_same_contexts():
