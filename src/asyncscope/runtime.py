@@ -24,6 +24,7 @@ import queue
 import sys
 import threading
 import time
+import weakref
 from collections import defaultdict, deque
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -74,6 +75,36 @@ _tuple_new = tuple.__new__
 _SPAWN, _SCHEDULE, _START, _END, _CANCEL = (
     EventKind.SPAWN, EventKind.SCHEDULE, EventKind.START, EventKind.END,
     EventKind.CANCEL)
+
+# The frames of a capture that walked no user frame.
+_UNKNOWN = ("<unknown>:<unknown>:0",)
+# id(code) -> (weak reference to the code, {f_lasti: ":symbol:line"}),
+# shared by every session: drain names and numbers a frame from it, and
+# scans the code's co_lines() only for an f_lasti it has not seen. An entry
+# goes when its code dies, so a reused id finds no stale table.
+_line_tables: dict[int, tuple] = {}
+
+
+def _where(code, lasti: int) -> str:
+    """``:symbol:line`` for a frame of ``code`` at ``lasti``, the line
+    being the one that ``f_lineno`` gives."""
+    key = id(code)
+    entry = _line_tables.get(key)
+    if entry is None or entry[0]() is not code:
+        entry = _line_tables[key] = (
+            weakref.ref(code, partial(_forget_line_table, key)), {})
+    where = entry[1].get(lasti)
+    if where is None:
+        line = next((line for start, end, line in code.co_lines()
+                     if start <= lasti < end), None)
+        where = entry[1][lasti] = f":{code.co_name}:{line}"
+    return where
+
+
+def _forget_line_table(key: int, ref) -> None:
+    if _line_tables.get(key, (None,))[0] is ref:
+        del _line_tables[key]
+
 
 # CO_GENERATOR | CO_COROUTINE | CO_ASYNC_GENERATOR: such a frame's caller
 # changes each time it resumes, so a capture never holds it.
@@ -273,15 +304,15 @@ class ProfilerSession:
         self._tasks: dict[str, _TaskState] = {}
         self._outstanding = 0
         # The held frame, the capture depth it was held at and the contexts
-        # captured below it, keyed by the triples walked down to it; the
-        # number of full walks; the table from each distinct triples tuple
-        # to the one ExecutionContext that every Schedule of it carries;
-        # and the blank context that the next new tuple takes. See
-        # _capture_context. _assemble fills in the frames of the table's
-        # contexts and empties it.
+        # captured below it, keyed by the raw tuples walked down to it; the
+        # number of full walks; the table from each distinct raw stack to
+        # the one ExecutionContext that every Schedule of it carries and the
+        # code objects walked for it; and the blank context that the next
+        # new stack takes. See _capture_context. _assemble names and numbers
+        # the frames of the table's contexts and empties it.
         self._held = (None, 0, None)
         self._walks = 0
-        self._contexts: dict[tuple, ExecutionContext] = {}
+        self._contexts: dict[tuple, tuple[ExecutionContext, list]] = {}
         self._blank = _blank_context()
         self._services: dict[str, SerialQueueExecutor] = {}
         self._facade: AsyncFacade | None = None
@@ -349,55 +380,60 @@ class ProfilerSession:
 
     def _capture_context(self) -> ExecutionContext:
         """The caller's context: the session's ExecutionContext for its raw
-        (module, symbol, line) triples, innermost first.
+        stack, innermost first, a ``(module, id(code), f_lasti)`` tuple for
+        each user frame.
 
-        Its frames are left empty until drain formats them, to keep the
-        submission path cheap. While a plain function frame runs, its
-        callers and their lines cannot change, so the contexts captured
-        below it are a function of the triples walked down to it. The
-        session holds one frame, the last user frame of the first two that
-        its last full walk saw, by a strong reference so that its identity
-        cannot be reused, with the contexts captured below it. A walk whose
-        first or second user frame is the held frame, at the depth it was
-        held at, returns the context its triples down to that frame gave
-        before. Any other walk goes to the end; it adds its context to the
-        held frame's when that frame was among its first two user frames,
-        and otherwise holds its own last such frame in its place, unless
-        that frame is resumable. The session's table gives each distinct
-        triples tuple one context, so a repeat returns the same object and
-        the triples just built for it die at once; a new tuple takes the
-        blank context in one ``setdefault``, which hashes the tuple once.
+        The submission path reads no symbol and no line number, and formats
+        nothing: drain names and numbers each context's frames. While a
+        plain function frame runs, its callers and where they are cannot
+        change, so the contexts captured below it are a function of the raw
+        tuples walked down to it. The session holds one frame, the last user
+        frame of the first two that its last full walk saw, by a strong
+        reference so that its identity cannot be reused, with the contexts
+        captured below it. A walk whose first or second user frame is the
+        held frame, at the depth it was held at, returns the context its
+        raw tuples down to that frame gave before. Any other walk goes to
+        the end; it adds its context to the held frame's when that frame
+        was among its first two user frames, and otherwise holds its own
+        last such frame in its place, unless that frame is resumable. The
+        session's table gives each distinct raw stack one context, and
+        keeps the code objects walked for it, so that no id in a live key
+        can be reused; a new stack takes the blank context in one
+        ``setdefault``, which hashes the key once and no code object.
         Called with the lock held; drain releases the held frame and the
         table.
         """
         depth = self.capture_depth
         held, held_depth, known = self._held
-        frames: list = []
+        raw: list = []
+        codes: list = []
         head = 2 if depth > 2 else depth
         key = last = None
         f = sys._getframe(2)
-        while f is not None and len(frames) < head:
+        while f is not None and len(codes) < head:
             module = f.f_globals.get("__name__", "?")
             if not _is_internal[module]:
-                frames.append((module, f.f_code.co_name, f.f_lineno))
+                code = f.f_code
+                codes.append(code)
+                raw.append((module, id(code), f.f_lasti))
                 if f is held and depth == held_depth:
-                    key = tuple(frames)
+                    key = tuple(raw)
                     context = known.get(key)
                     if context is not None:
                         return context
                 last = f
             f = f.f_back
         self._walks += 1
-        while f is not None and len(frames) < depth:
+        while f is not None and len(codes) < depth:
             module = f.f_globals.get("__name__", "?")
             if not _is_internal[module]:
-                frames.append((module, f.f_code.co_name, f.f_lineno))
+                code = f.f_code
+                codes.append(code)
+                raw.append((module, id(code), f.f_lasti))
             f = f.f_back
-        if not frames:
-            frames.append(("<unknown>", "<unknown>", 0))
-        triples = tuple(frames)
+        raw = tuple(raw)
         blank = self._blank
-        context = self._contexts.setdefault(triples, blank)
+        context = self._contexts.setdefault(raw, (blank, codes))[0]
         if context is blank:
             self._blank = _blank_context()
         if key is not None:
@@ -405,7 +441,7 @@ class ProfilerSession:
         elif last is None or last.f_code.co_flags & _RESUMABLE:
             self._held = (None, 0, None)
         else:
-            self._held = (last, depth, {triples[:head]: context})
+            self._held = (last, depth, {raw[:head]: context})
         return context
 
     # -- task lifecycle ------------------------------------------------------
@@ -601,16 +637,39 @@ class ProfilerSession:
     def _assemble(self) -> TraceSession:
         """The log is the trace: its events are handed out as they were
         built, in a stably sorted copy, and only the contexts' frames are
-        filled in. No capture follows the first drain, so its table is
-        complete, and a later drain finds every context filled in."""
+        filled in, as ``module:symbol:line`` strings resolved from each raw
+        stack's code objects. No capture follows the first drain, so its
+        table is complete, and a later drain finds every context filled
+        in."""
+        contexts, self._contexts = self._contexts, {}
+        # Each raw frame is named once a drain: stacks share their callers.
+        names: dict[tuple, str] = {}
+        by_frames: dict[tuple, ExecutionContext] = {}
+        merged: dict[int, ExecutionContext] = {}
+        for raw, (context, codes) in contexts.items():
+            frames = []
+            for frame, code in zip(raw, codes):
+                name = names.get(frame)
+                if name is None:
+                    name = names[frame] = frame[0] + _where(code, frame[2])
+                frames.append(name)
+            frames = tuple(frames) or _UNKNOWN
+            object.__setattr__(context, "frames", frames)
+            first = by_frames.setdefault(frames, context)
+            if first is not context:
+                merged[id(context)] = first
+        if merged:
+            # Raw stacks that name and number alike, such as two calls on
+            # one line, share the first one's context, in the log itself so
+            # that a later drain hands out the same events.
+            log = self._events
+            for i, event in enumerate(log):
+                if event.kind is _SCHEDULE and id(event.context) in merged:
+                    log[i] = event._replace(context=merged[id(event.context)])
         # One slice is a consistent copy even while real workers append;
         # the stable sort keeps emission order among equal timestamps.
         events = self._events[:]
         events.sort(key=itemgetter(0))
-        for triples, context in self._contexts.items():
-            object.__setattr__(context, "frames", tuple(
-                f"{m}:{s}:{line}" for m, s, line in triples))
-        self._contexts = {}
         return TraceSession(
             session_id=self.session_id,
             config_label=self.config_label,

@@ -1,15 +1,17 @@
 """Context capture: the memoized walk against the uncached walk it
-replaces, the interning of what it returns, the frames drain fills in,
-and how long the held frame lives.
+replaces, the interning of what it returns, the frames drain names and
+numbers, and how long the held frame and the line tables live.
 
 ``OracleSession`` computes, at every submission, both the session's
-capture and the plain walk below from the same frame, and records any
-difference. The plain walk, with its ``startswith`` module test, is the
-reference and lives only here.
+capture and the plain walk below from the same frame, and checks at drain
+that each Schedule carries its walk's frames. The plain walk, with its
+``startswith`` module test and its ``f_lineno`` reads, is the reference
+and lives only here.
 """
 
 from collections import Counter
 
+import _thread
 import sys
 import threading
 import types
@@ -23,6 +25,7 @@ from asyncscope.runtime import (
     DrainTimeout,
     ProfilerSession,
     Task,
+    _line_tables,
 )
 from asyncscope.trace_model import EventKind, TaskEvent
 
@@ -30,15 +33,20 @@ MS = 1_000_000
 
 
 def uncached_walk(f, depth):
-    frames = []
+    """The user frames from ``f`` outwards, innermost first: their
+    (module, symbol, line) triples, their raw stack of (module, id(code),
+    f_lasti) tuples, and their code objects."""
+    frames, raw, codes = [], [], []
     while f is not None and len(frames) < depth:
         module = f.f_globals.get("__name__", "?")
         if not module.startswith(_INTERNAL_MODULES):
             frames.append((module, f.f_code.co_name, f.f_lineno))
+            raw.append((module, id(f.f_code), f.f_lasti))
+            codes.append(f.f_code)
         f = f.f_back
     if not frames:
         frames.append(("<unknown>", "<unknown>", 0))
-    return tuple(frames)
+    return tuple(frames), tuple(raw), codes
 
 
 def formatted(triples):
@@ -51,21 +59,41 @@ class OracleSession(ProfilerSession):
         self.captures = 0
         self.mismatches = []
         self.returned = []  # (context, the uncached walk's triples)
+        # Raw stack -> the context first returned for it, and its code
+        # objects, kept so that no id in a key here can be reused.
+        self.by_raw = {}
 
     def _capture_context(self):
         # Frame 2 is what the session's own capture starts from when
         # _register_task calls it; called from here, it starts one frame
         # lower, at _register_task itself, which the walk skips.
-        want = uncached_walk(sys._getframe(2), self.capture_depth)
+        want, raw, codes = uncached_walk(sys._getframe(2), self.capture_depth)
         got = super()._capture_context()
         self.captures += 1
         self.returned.append((got, want))
-        # The session's table holds one context per distinct triples, so
-        # the context returned is the walk's exactly when the table maps
-        # the walk's triples to it. Its frames are filled in at drain.
-        if self._contexts.get(want) is not got:
+        # A repeated raw stack returns the object it returned before.
+        if self.by_raw.setdefault(raw, (got, codes))[0] is not got:
             self.mismatches.append((got, want))
         return got
+
+    def _assemble(self):
+        trace = super()._assemble()
+        # Each capture is logged at once, under the lock, so the log's
+        # Schedules are in capture order. Each carries its walk's frames,
+        # and equal frames are one object, in the log and in the trace.
+        schedules = [ev for ev in self._events if ev.kind is EventKind.SCHEDULE]
+        for ev, (got, want) in zip(schedules, self.returned, strict=True):
+            if ev.context.frames != formatted(want):
+                self.mismatches.append((ev.context, want))
+        one = {}
+        for ev in schedules:
+            if one.setdefault(ev.context.frames, ev.context) is not ev.context:
+                self.mismatches.append((ev.context, one[ev.context.frames]))
+        return trace
+
+
+def schedule_contexts(trace):
+    return [ev.context for ev in trace.events if ev.kind is EventKind.SCHEDULE]
 
 
 def _task(label):
@@ -97,7 +125,7 @@ def helper(s):
             _submit(pool, _task("via-helper"))
         else:
             # The frame held through the helper is now the first user
-            # frame: one more full walk, then hits keyed by its triple.
+            # frame: one more full walk, then hits keyed by its raw tuple.
             pool.submit(_task("direct"))
 
 
@@ -178,7 +206,7 @@ def deep(s):
 def _recurse_and_submit(pool, k):
     """Submits after its recursive call has returned. Its frame was then
     the second user frame of the capture just before, whose first two
-    triples equal its own and its caller's, so a memo keyed by those two
+    raw tuples equal its own and its caller's, so a memo keyed by those two
     alone would hand it that capture's context, one frame too long."""
     if k:
         _recurse_and_submit(pool, k - 1)
@@ -214,13 +242,16 @@ def alternating(s):
 FOREIGN = ["asyncscope.runtime_helpers", "asyncscope", None]
 
 
-def _foreign_submit(module):
+def _foreign_submit(module, first_line=1):
     """A submit helper whose frames report ``module`` as their module, or
-    whose globals have no ``__name__`` when ``module`` is None."""
+    whose globals have no ``__name__`` when ``module`` is None, defined at
+    ``first_line``. Its globals do not hold it, so it dies when dropped."""
     namespace = {} if module is None else {"__name__": module}
-    exec(compile("def submit(pool, task):\n    pool.submit(task)\n",
-                 "<foreign>", "exec"), namespace)
-    return namespace["submit"]
+    defined = {}
+    exec(compile("\n" * (first_line - 1) +
+                 "def submit(pool, task):\n    pool.submit(task)\n",
+                 "<foreign>", "exec"), namespace, defined)
+    return defined["submit"]
 
 
 def foreign(s):
@@ -231,8 +262,54 @@ def foreign(s):
             submit(pool, _task(f"foreign-{module}"))
 
 
+def one_line_two_calls(s):
+    """Two submissions from one line: their raw stacks differ in where the
+    loop's frame is, and their frames are equal."""
+    pool = s.pool_executor(core_size=2, max_size=2)
+    for _ in range(10):
+        _submit(pool, _task("first")), _submit(pool, _task("second"))
+
+
+def one_code_two_modules(s):
+    """One code object run under two module names: two contexts."""
+    pool = s.pool_executor(core_size=2, max_size=2)
+    submits = [types.FunctionType(_submit.__code__, {"__name__": module})
+               for module in ("shared_code_a", "shared_code_b")]
+    for _ in range(5):
+        for submit in submits:
+            submit(pool, _task("shared-code"))
+
+
+def dropped_helpers(s):
+    """Submit helpers defined at different lines, each dropped after use,
+    so that a freed code's id can come back as another code's."""
+    pool = s.pool_executor(core_size=2, max_size=2)
+    for first_line in range(1, 9):
+        submit = _foreign_submit("dropped", first_line)
+        for _ in range(3):
+            submit(pool, _task(f"dropped-{first_line}"))
+        del submit
+
+
+def no_user_frame(s):
+    """Submissions whose stack holds no user frame: each from a bare
+    thread whose one Python frame reports an internal module."""
+    namespace = {"__name__": "asyncscope.runtime_helpers"}
+    exec("def submit(pool, task, done):\n"
+         "    pool.submit(task)\n"
+         "    done.release()\n", namespace)
+    pool = s.pool_executor(core_size=1, max_size=1)
+    done = _thread.allocate_lock()
+    for _ in range(3):
+        done.acquire()
+        _thread.start_new_thread(namespace["submit"],
+                                 (pool, _task("nowhere"), done))
+    assert done.acquire(timeout=10)
+
+
 CASES = [loop, two_lines, helper, recursion, direct_recursion, generators,
-         nested, deep, depth_change, alternating, foreign]
+         nested, deep, depth_change, alternating, foreign, one_line_two_calls,
+         one_code_two_modules, dropped_helpers, no_user_frame]
 
 
 @pytest.mark.parametrize("depth", [1, 2, 32])
@@ -243,11 +320,51 @@ def test_capture_equals_uncached_walk(case, depth):
     session.drain()
     assert session.captures > 0
     assert session.mismatches == []
-    assert all(context.frames == formatted(want)
-               for context, want in session.returned)
-    # Equal walks share one context.
-    assert len({id(c) for c, _ in session.returned}) == \
-        len({want for _, want in session.returned})
+
+
+def test_one_code_under_two_modules_gives_two_contexts():
+    session = OracleSession(clock=VirtualClock())
+    one_code_two_modules(session)
+    trace = session.drain()
+    assert session.mismatches == []
+    assert sorted({c.frames[0] for c in schedule_contexts(trace)}) == [
+        f"shared_code_{m}:_submit:{_submit.__code__.co_firstlineno + 1}"
+        for m in "ab"]
+
+
+def test_no_user_frame_is_unknown():
+    session = OracleSession(clock=VirtualClock())
+    no_user_frame(session)
+    trace = session.drain()
+    assert session.mismatches == []
+    assert {c.frames for c in schedule_contexts(trace)} == {
+        ("<unknown>:<unknown>:0",)}
+
+
+def test_reused_code_ids_get_their_own_lines():
+    """Sessions one after another, each drained before the next defines
+    its helpers, whose codes can take the ids of the last session's."""
+    for _ in range(4):
+        session = OracleSession(clock=VirtualClock())
+        dropped_helpers(session)
+        session.drain()
+        assert session.mismatches == []
+
+
+def test_line_table_goes_with_its_code():
+    session = ProfilerSession(clock=VirtualClock())
+    pool = session.pool_executor(core_size=1, max_size=1)
+    submit = _foreign_submit("dropped", 5)
+    for _ in range(3):
+        submit(pool, _task("t"))
+    trace = session.drain()
+    assert schedule_contexts(trace)[0].frames[0] == "dropped:submit:6"
+    code = weakref.ref(submit.__code__)
+    table = _line_tables[id(submit.__code__)][0]
+    assert table() is code()
+    del submit
+    assert code() is None
+    assert all(ref is not table for ref, _ in _line_tables.values())
 
 
 def test_module_test_agrees_with_startswith():
@@ -262,21 +379,23 @@ def test_module_test_agrees_with_startswith():
     assert {"asyncscope", "?"} <= modules
 
 
-@pytest.mark.parametrize("case", [loop, alternating])
+@pytest.mark.parametrize("case", [loop, alternating, one_line_two_calls])
 def test_one_line_returns_one_tuple(case):
-    """On the memo's path and on full walks alike."""
+    """On the memo's path and on full walks alike, and for raw stacks that
+    drain finds equal."""
     session = OracleSession(clock=VirtualClock())
     case(session)
-    session.drain()
+    trace = session.drain()
     by_line = {}
-    for context, _ in session.returned:
+    for context in schedule_contexts(trace):
         by_line.setdefault(context.frames[0], []).append(context)
     for contexts in by_line.values():
         assert len(contexts) > 1
         assert all(c is contexts[0] for c in contexts)
 
 
-@pytest.mark.parametrize("case", [loop, two_lines, alternating, foreign])
+@pytest.mark.parametrize("case", [loop, two_lines, alternating, foreign,
+                                  one_line_two_calls])
 def test_each_site_shares_one_execution_context(case):
     session = ProfilerSession(clock=VirtualClock())
     case(session)
@@ -336,18 +455,16 @@ def test_capture_equals_uncached_walk_on_concurrent_submitters():
 
 def check_drained(session, trace):
     """The trace's events are TaskEvents, and its Schedules carry the
-    contexts the session captured, one Schedule per capture, each with its
-    walk's formatted frames and one object per distinct frames."""
+    log's contexts, one per capture, with frames of strings. The oracle
+    checked the log's at drain."""
     assert all(type(ev) is TaskEvent for ev in trace.events)
-    contexts = [ev.context for ev in trace.events
-                if ev.kind is EventKind.SCHEDULE]
-    assert Counter(map(id, contexts)) == \
-        Counter(id(context) for context, _ in session.returned)
-    assert all(context.frames == formatted(want)
-               for context, want in session.returned)
+    contexts = schedule_contexts(trace)
+    assert Counter(map(id, contexts)) == Counter(
+        id(ev.context) for ev in session._events
+        if ev.kind is EventKind.SCHEDULE)
+    assert len(contexts) == session.captures
     assert all(type(frame) is str for context in contexts
                for frame in context.frames)
-    assert len({id(c) for c in contexts}) == len({c.frames for c in contexts})
 
 
 @pytest.mark.parametrize("clock", [VirtualClock, RealMonotonicClock],
@@ -459,9 +576,10 @@ def test_returned_frames_are_not_held():
 def test_a_second_drain_gives_the_same_contexts():
     """The first drain fills in and empties the context table; a second
     one, after a timeout, hands out the same events, built once, with
-    each Schedule's context."""
+    each Schedule's context, merged ones included."""
     session = ProfilerSession(clock=VirtualClock())
     loop(session)
+    one_line_two_calls(session)
     session.spawn_thread(Task("forever", synthetic_duration_ns=None))
     traces = []
     for _ in range(2):
@@ -470,6 +588,8 @@ def test_a_second_drain_gives_the_same_contexts():
         traces.append(exc_info.value.session)
     first, second = (trace.events for trace in traces)
     assert all(a is b for a, b in zip(first, second, strict=True))
-    contexts = [ev.context for ev in first if ev.kind is EventKind.SCHEDULE]
-    assert len(contexts) == 21
+    contexts = schedule_contexts(traces[0])
+    assert len(contexts) == 41
     assert all(context.frames for context in contexts)
+    # The first drain gave one line's two raw stacks one context.
+    assert len({id(c) for c in contexts[20:40]}) == 1
