@@ -11,15 +11,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, fields
-from operator import attrgetter
+from operator import attrgetter, mul
 
 from .trace_model import (
     ExecutionContext,
     Mechanism,
     TaskEvent,
     TaskRecord,
-    latency,
-    queuing_time,
 )
 
 
@@ -203,7 +201,7 @@ def _metric_stats(values: list[int]) -> MetricStats:
     # integer arithmetic; the final divisions are correctly rounded.
     n = len(values)
     total = sum(values)
-    total_sq = sum(v * v for v in values)
+    total_sq = sum(map(mul, values, values))
     mean = total / n
     variance = (n * total_sq - total * total) / (n * n)
     ordered = sorted(values)
@@ -229,26 +227,26 @@ def stats_and_durations(
     group: list[TaskRecord],
 ) -> tuple[GroupStats, list[int], list[int]]:
     """``compute_stats`` plus the queuing times and latencies it was
-    computed from, one each per complete record in group order."""
+    computed from: the ``queuing_time`` and ``latency`` of each complete
+    record, in group order."""
     if not group:
         raise ValueError("group must be non-empty")
-    queuing_values = []
-    latency_values = []
-    n_complete = n_incomplete = n_cancelled = 0
-    for record in group:
-        if record.cancelled:
+    queuing_values: list[int] = []
+    latency_values: list[int] = []
+    add_queuing, add_latency = queuing_values.append, latency_values.append
+    n_cancelled = 0
+    for _, _, _, _, request_ns, _, start_ns, end_ns, cancelled in group:
+        if cancelled:
             n_cancelled += 1
-        if record.end_ns is None:
-            n_incomplete += 1
-            continue
-        n_complete += 1
-        queuing_values.append(queuing_time(record))
-        latency_values.append(latency(record))
+        if end_ns is not None:  # so start_ns is too
+            add_queuing(start_ns - request_ns)
+            add_latency(end_ns - start_ns)
+    n_complete = len(latency_values)
     stats = GroupStats(
         context=group[0].context,
         mechanism=group[0].mechanism,
         n_complete=n_complete,
-        n_incomplete=n_incomplete,
+        n_incomplete=len(group) - n_complete,
         n_cancelled=n_cancelled,
         queuing=_metric_stats(queuing_values) if queuing_values else None,
         latency=_metric_stats(latency_values) if latency_values else None,

@@ -291,7 +291,9 @@ def _histogram_json(ref: str, metric: str, h: Histogram) -> str:
     a non-empty tuple of ints, so that its edges are finite floats.
 
     Each edge is formatted once. A zero-width histogram's edges are all
-    ``float(lo)``, so one text serves every bin's two edges.
+    ``float(lo)``, so one text serves every bin's two edges; when only its
+    last bin is counted, as in every one that ``histogram`` makes, one
+    zero bin's text serves every bin but the last.
     """
     lo, hi, counts = h
     if not (type(lo) is type(hi) is int and type(counts) is tuple
@@ -299,7 +301,12 @@ def _histogram_json(ref: str, metric: str, h: Histogram) -> str:
         raise _Uncovered
     if lo == hi:
         edge = repr(float(lo))
-        text = _BIN_OF_COUNT % (edge, edge) * len(counts) % counts
+        bin_of_count = _BIN_OF_COUNT % (edge, edge)
+        zeros = len(counts) - 1
+        if counts[-1] and counts.count(0) == zeros:
+            text = bin_of_count % 0 * zeros + bin_of_count % counts[-1]
+        else:
+            text = bin_of_count * len(counts) % counts
     else:
         reprs = list(map(float.__repr__, h.edges()))
         text = _BIN * len(counts) % (*chain.from_iterable(zip(reprs, reprs[1:], counts)),)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import itemgetter
 from typing import NamedTuple
 
 
@@ -136,83 +136,64 @@ def latency(record: TaskRecord) -> int | None:
     return record.end_ns - record.start_ns
 
 
-class _Open:
-    __slots__ = (
-        "mechanism", "task_key", "context", "requested_by", "request_ns",
-        "executed_on", "start_ns", "end_ns", "cancelled", "closed",
-    )
-
-    def __init__(self, ev: TaskEvent) -> None:
-        self.mechanism = ev.mechanism
-        self.task_key = ev.task_key
-        self.context = ev.context
-        self.requested_by = ev.thread
-        self.request_ns = ev.timestamp_ns
-        self.executed_on: ThreadIdentity | None = None
-        self.start_ns: int | None = None
-        self.end_ns: int | None = None
-        self.cancelled = False
-        self.closed = False
-
-
 def correlate(events: list[TaskEvent] | tuple[TaskEvent, ...]) -> list[TaskRecord]:
     """Fold an ordered event stream into one record per scheduled task.
 
     Raises a ``CorrelationError`` subclass on unmatched or out-of-order
     events; nothing is silently dropped. Records come back sorted by
     request time with submission order as the stable tie-break.
+
+    Each event is unpacked once, and each open task is a list in
+    ``TaskRecord`` field order that becomes its record through
+    ``tuple.__new__``. A task is closed once it has an end time or is
+    cancelled.
     """
-    SPAWN, SCHEDULE, START, END = (
-        EventKind.SPAWN, EventKind.SCHEDULE, EventKind.START, EventKind.END)
+    SPAWN, SCHEDULE, START, END, CANCEL = (
+        EventKind.SPAWN, EventKind.SCHEDULE, EventKind.START, EventKind.END,
+        EventKind.CANCEL)
     # Tasks are keyed by (task_key, mechanism). Members are singletons, so
     # id() stands in for the mechanism: Enum.__hash__ is a Python-level call.
-    states: dict[tuple[str | None, int], _Open] = {}
-    for ev in events:
-        kind = ev.kind
+    states: dict[tuple[str | None, int], list] = {}
+    for ts, kind, mech, key, thread, context, _ in events:
         if kind is SPAWN:
             continue
-        key = (ev.task_key, id(ev.mechanism))
+        task = (key, id(mech))
         if kind is SCHEDULE:
-            if key in states:
-                raise DuplicateSchedule(f"task {ev.task_key!r} scheduled twice")
-            if ev.context is None:
-                raise CorrelationError(f"Schedule for {ev.task_key!r} has no context")
-            states[key] = _Open(ev)
+            if task in states:
+                raise DuplicateSchedule(f"task {key!r} scheduled twice")
+            if context is None:
+                raise CorrelationError(f"Schedule for {key!r} has no context")
+            states[task] = [key, mech, context, thread, ts, None, None, None, False]
             continue
-        st = states.get(key)
+        st = states.get(task)
         if st is None:
-            raise DanglingEvent(f"{kind.name} for unknown task {ev.task_key!r}")
+            raise DanglingEvent(f"{kind.name} for unknown task {key!r}")
+        # st: task_key, mechanism, context, requested_by, request_ns,
+        #     executed_on, start_ns, end_ns, cancelled
         if kind is START:
-            if st.closed or st.start_ns is not None:
-                raise OrderViolation(f"unexpected Start for {ev.task_key!r}")
-            if ev.timestamp_ns < st.request_ns:
-                raise OrderViolation(f"Start precedes Schedule for {ev.task_key!r}")
-            st.start_ns = ev.timestamp_ns
-            st.executed_on = ev.thread
+            if st[6] is not None or st[8]:  # started, or closed unstarted
+                raise OrderViolation(f"unexpected Start for {key!r}")
+            if ts < st[4]:
+                raise OrderViolation(f"Start precedes Schedule for {key!r}")
+            st[5] = thread
+            st[6] = ts
         elif kind is END:
-            if st.closed:
-                raise OrderViolation(f"End after close for {ev.task_key!r}")
-            if st.start_ns is None:
-                raise OrderViolation(f"End before Start for {ev.task_key!r}")
-            if ev.timestamp_ns < st.start_ns:
-                raise OrderViolation(f"End precedes Start for {ev.task_key!r}")
-            st.end_ns = ev.timestamp_ns
-            st.closed = True
-        elif kind is EventKind.CANCEL:
-            if st.closed:
-                raise OrderViolation(f"Cancel after close for {ev.task_key!r}")
-            st.cancelled = True
-            if st.start_ns is not None:
-                if ev.timestamp_ns < st.start_ns:
-                    raise OrderViolation(f"Cancel precedes Start for {ev.task_key!r}")
+            if st[7] is not None or st[8]:
+                raise OrderViolation(f"End after close for {key!r}")
+            if st[6] is None:
+                raise OrderViolation(f"End before Start for {key!r}")
+            if ts < st[6]:
+                raise OrderViolation(f"End precedes Start for {key!r}")
+            st[7] = ts
+        elif kind is CANCEL:
+            if st[7] is not None or st[8]:
+                raise OrderViolation(f"Cancel after close for {key!r}")
+            if st[6] is not None:
+                if ts < st[6]:
+                    raise OrderViolation(f"Cancel precedes Start for {key!r}")
                 # A running task closed by cancellation: its running time counts.
-                st.end_ns = ev.timestamp_ns
-            st.closed = True
-    make = TaskRecord._make
+                st[7] = ts
+            st[8] = True
+    new = tuple.__new__
     # states keeps Schedule order and sorted is stable: that is the tie-break.
-    return [
-        make((st.task_key, st.mechanism, st.context, st.requested_by,
-              st.request_ns, st.executed_on, st.start_ns, st.end_ns,
-              st.cancelled))
-        for st in sorted(states.values(), key=attrgetter("request_ns"))
-    ]
+    return [new(TaskRecord, st) for st in sorted(states.values(), key=itemgetter(4))]

@@ -65,6 +65,9 @@ def _escape(value: str) -> str:
     return "%5F" if out == "_" else out
 
 
+_HEX = frozenset("0123456789abcdefABCDEF")
+
+
 def _unescape(value: str, line_no: int) -> str:
     if "%" not in value:
         return value
@@ -73,27 +76,24 @@ def _unescape(value: str, line_no: int) -> str:
     for chunk in parts[1:]:
         if len(chunk) < 2:
             raise MalformedLine(f"truncated escape near {chunk!r}", line_no)
-        try:
-            out.append(chr(int(chunk[:2], 16)))
-        except ValueError:
-            raise MalformedLine(f"bad escape %{chunk[:2]!r}", line_no) from None
+        pair = chunk[:2]
+        if not _HEX.issuperset(pair):  # int(pair, 16) also takes a sign or a space
+            raise MalformedLine(f"bad escape %{pair!r}", line_no)
+        out.append(chr(int(pair, 16)))
         out.append(chunk[2:])
     return "".join(out)
-
-
-def _opt(value: str | None) -> str:
-    return "_" if value is None else _escape(value)
 
 
 def encode_session(session: TraceSession) -> bytes:
     """Serialize a whole session; deterministic bytes, LF terminated lines.
 
-    Each context's frames and each thread's three fields are formatted
-    once per session, and the kind and mechanism tags are read from the
-    members' `_value_`. Contexts are numbered by value, so equal contexts
-    share one id whatever their identity, and the bytes depend only on the
-    session's value. The thread table's `id()` keys are sound because the
-    session holds every thread alive while it is encoded.
+    Each context's frames, each thread's three fields and each distinct
+    task key or detail are formatted once per session, and the kind and
+    mechanism tags are read from the members' `_value_`. Contexts are
+    numbered by value, so equal contexts share one id whatever their
+    identity, and the bytes depend only on the session's value. The
+    thread table's `id()` keys are sound because the session holds every
+    thread alive while it is encoded.
     """
     lines = [
         f"{MAGIC}|SESSION|{_escape(session.session_id)}|"
@@ -102,6 +102,7 @@ def encode_session(session: TraceSession) -> bytes:
     append = lines.append
     context_ids: dict[tuple[str, ...], str] = {}  # frames -> id text
     threads: dict[int, str] = {}  # id(thread) -> its three fields
+    texts: dict[str | None, str] = {None: "_"}  # key or detail -> field text
     for seq, (ts, kind, mech, key, thread, context, detail) in enumerate(
             session.events, start=1):
         thread_text = threads.get(id(thread))
@@ -118,9 +119,15 @@ def encode_session(session: TraceSession) -> bytes:
             if context_text is None:
                 context_text = context_ids[frames] = str(len(context_ids))
                 append(f"{_CTX}{context_text}|{';'.join(map(_escape, frames))}")
+        key_text = texts.get(key)
+        if key_text is None:
+            key_text = texts[key] = _escape(key)
+        detail_text = texts.get(detail)
+        if detail_text is None:
+            detail_text = texts[detail] = _escape(detail)
         mech_text = "_" if mech is None else mech._value_
-        append(f"{MAGIC}|EV|{seq}|{ts}|{kind._value_}|{mech_text}|{_opt(key)}|"
-               f"{thread_text}|{context_text}|{_opt(detail)}")
+        append(f"{MAGIC}|EV|{seq}|{ts}|{kind._value_}|{mech_text}|{key_text}|"
+               f"{thread_text}|{context_text}|{detail_text}")
     lines.append("")
     return "\n".join(lines).encode("utf-8")
 
@@ -178,14 +185,17 @@ def _parse_events(lines: list[str]) -> list[TaskEvent]:
     distinct thread field is decoded once and its value shared. Decoding
     is a pure function of the text: a cache hit skips only checks that
     already passed, and every failure is still raised at the line that
-    holds it.
+    holds it. The loop calls no helper on a well-formed line: a key or a
+    detail is unescaped only when it holds a `%`, and each event is built
+    with `tuple.__new__`.
     """
     SPAWN, SCHEDULE = EventKind.SPAWN, EventKind.SCHEDULE
+    kinds, mechanisms = _KINDS, _MECHANISMS
     threads: dict[tuple[str, str, str], ThreadIdentity] = {}
     contexts: dict[str, ExecutionContext | None] = {"_": None}
     events: list[TaskEvent] = []
     append = events.append
-    make = TaskEvent._make
+    new = tuple.__new__
     last_seq = 0
     for line_no, line in enumerate(lines, start=2):
         fields = line.split("|")
@@ -208,13 +218,16 @@ def _parse_events(lines: list[str]) -> list[TaskEvent]:
         if seq < 1 or ts < 0:  # _parse_int raises the positioned error
             seq = _parse_int(seq_text, "seq", line_no, minimum=1)
             ts = _parse_int(ts_text, "timestamp", line_no)
-        kind = _KINDS.get(kind_text)
+        kind = kinds.get(kind_text)
         if kind is None:
             raise UnknownKind(f"unknown event kind {kind_text!r}", line_no)
-        mech = _MECHANISMS.get(mech_text, False)
+        mech = mechanisms.get(mech_text, False)
         if mech is False:
             raise MalformedLine(f"unknown mechanism {mech_text!r}", line_no)
-        key = None if key == "_" else _unescape(key, line_no)
+        if key == "_":
+            key = None
+        elif "%" in key:
+            key = _unescape(key, line_no)
 
         if kind is SPAWN:
             if mech is not None or key is not None:
@@ -236,11 +249,14 @@ def _parse_events(lines: list[str]) -> list[TaskEvent]:
         elif ctx is not None:
             raise MalformedLine(f"{kind.value} must not carry a context", line_no)
 
-        detail = None if detail == "_" else _unescape(detail, line_no)
+        if detail == "_":
+            detail = None
+        elif "%" in detail:
+            detail = _unescape(detail, line_no)
         if seq <= last_seq:
             raise NonMonotonicSeq(f"seq {seq} after {last_seq}", line_no)
         last_seq = seq
-        append(make((ts, kind, mech, key, thread, ctx, detail)))
+        append(new(TaskEvent, (ts, kind, mech, key, thread, ctx, detail)))
     return events
 
 

@@ -201,9 +201,15 @@ def _warning_with(**fields) -> DiagnosisReport:
     return _hand_built(rows=[replace(_ROW, warnings=(replace(_ROW.warnings[0], **fields),))])
 
 
-# Histograms with an int range and int counts that histogram() does not build.
+# Histograms with an int range and int counts. histogram() builds the first
+# two; a zero-width one whose count is not all in its last bin takes the
+# general template.
 _INT_RANGES = {
+    "zero width, only the last bin counted": Histogram(7, 7, (0, 0, 0, 5)),
+    "zero width, one bin": Histogram(-7, -7, (4,)),
     "zero width, counts in every bin": Histogram(7, 7, (1, 2, 3)),
+    "zero width, only the first bin counted": Histogram(7, 7, (5, 0, 0)),
+    "zero width, nothing counted": Histogram(0, 0, (0, 0)),
     "hi below lo": Histogram(9, -3, (1, 0, 2)),
     "one bin": Histogram(-5, 10**15, (4,)),
 }

@@ -160,27 +160,42 @@ def _oracle_correlate(events):
     return records
 
 
+_SHARED_KEY_MECHANISMS = (Mechanism.POOL_EXECUTOR, Mechanism.SERIAL_SERVICE)
+
+
 def _random_interleaving(rng, n_tasks):
-    """A well-formed stream: per-key lifecycles merged in timestamp order."""
+    """A well-formed stream: per-task lifecycles merged in timestamp order.
+
+    Each task's mechanism is drawn from two, and each mechanism numbers
+    its own keys, so one key names a task under each; Spawn events,
+    which name no task, fall in between.
+    """
     per_task = []
-    for i in range(n_tasks):
-        key = f"T#{i}"
+    next_key = dict.fromkeys(_SHARED_KEY_MECHANISMS, 0)
+    for _ in range(n_tasks):
+        mech = rng.choice(_SHARED_KEY_MECHANISMS)
+        key = f"T#{next_key[mech]}"
+        next_key[mech] += 1
         t0 = rng.randrange(0, 1000)
         shape = rng.choice(["full", "cancel_queued", "cancel_running", "open"])
-        seq = [_sched(key, t0)]
+        seq = [_sched(key, t0, mech)]
         if shape == "cancel_queued":
-            seq.append(_cancel(key, t0 + rng.randrange(0, 100)))
+            seq.append(_cancel(key, t0 + rng.randrange(0, 100), mech))
         elif shape != "open":
             t1 = t0 + rng.randrange(0, 100)
-            seq.append(_start(key, t1))
+            seq.append(_start(key, t1, mech))
             closer = _end if shape == "full" else _cancel
-            seq.append(closer(key, t1 + rng.randrange(0, 100)))
+            seq.append(closer(key, t1 + rng.randrange(0, 100), mech))
         per_task.append(seq)
+    per_task.extend(
+        [TaskEvent(rng.randrange(0, 1200), EventKind.SPAWN, None, None,
+                   ThreadIdentity(3 + i, 1, False))]
+        for i in range(rng.randrange(0, 5)))
     merged = []
-    cursors = [0] * n_tasks
+    cursors = [0] * len(per_task)
     while any(c < len(s) for c, s in zip(cursors, per_task)):
         candidates = [
-            i for i in range(n_tasks) if cursors[i] < len(per_task[i])
+            i for i in range(len(per_task)) if cursors[i] < len(per_task[i])
         ]
         # Pick any task whose next event does not precede other streams'
         # already-emitted maximum — simplest: advance the globally earliest.
@@ -195,6 +210,14 @@ def test_correlate_matches_bruteforce_oracle(seed):
     rng = random.Random(seed)
     events = _random_interleaving(rng, rng.randrange(1, 50))
     assert correlate(events) == _oracle_correlate(events)
+
+
+def test_start_under_the_other_mechanism_dangles():
+    """A key scheduled under one mechanism names no task under another."""
+    pool, service = _SHARED_KEY_MECHANISMS
+    events = [_sched("T#0", 0, pool), _start("T#0", 1, service)]
+    with pytest.raises(DanglingEvent, match="START for unknown task 'T#0'"):
+        correlate(events)
 
 
 @given(st.integers(0, 10**6), st.integers(0, 10**6), st.integers(0, 10**6))

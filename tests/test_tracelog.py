@@ -13,6 +13,7 @@ from asyncscope.tracelog import (
     NonMonotonicSeq,
     TraceLogError,
     UnknownKind,
+    _EVENT_FIELDS,
     _escape,
     encode_session,
     parse_trace,
@@ -176,6 +177,12 @@ def _repeated_events():
     (6, 5, "_", "START requires mechanism and task_key"),
     (7, 6, "_", "END requires mechanism and task_key"),
     (3, 10, "_", "Schedule requires a context"),
+    # An escape is exactly two hex digits: int(..., 16) alone would read
+    # these as 0x0f, 0x0f, 0x00 and 0x00.
+    (6, 6, "%+f", "bad escape %'+f'"),
+    (7, 11, "% f", "bad escape %' f'"),
+    (2, 3, "m:f:1;a%-0", "bad escape %'-0'"),
+    (8, 11, "%\u0660\u0660", "bad escape %'\u0660\u0660'"),
 ])
 def test_bad_field_after_cached_values_positioned(line_no, field, value, message):
     """A field whose earlier occurrences decoded and were cached still
@@ -183,9 +190,9 @@ def test_bad_field_after_cached_values_positioned(line_no, field, value, message
     _assert_mutation_fails(line_no, field, value, MalformedLine, message)
 
 
-def _assert_mutation_fails(line_no, field, value, error, message):
-    """Set one field of one line of the `_repeated_events` trace (the whole
-    line when `field` is None) and expect `error` positioned there."""
+def _mutated(line_no, field, value):
+    """The `_repeated_events` trace with one field of one line set to
+    `value` (the whole line when `field` is None)."""
     lines = encode_session(_session(_repeated_events())).decode().splitlines()
     if field is None:
         lines[line_no - 1] = value
@@ -193,10 +200,140 @@ def _assert_mutation_fails(line_no, field, value, error, message):
         fields = lines[line_no - 1].split("|")
         fields[field] = value
         lines[line_no - 1] = "|".join(fields)
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _assert_mutation_fails(line_no, field, value, error, message):
+    """Mutate the `_repeated_events` trace and expect `error` positioned
+    at the mutated line."""
     with pytest.raises(error) as exc_info:
-        parse_trace(("\n".join(lines) + "\n").encode())
+        parse_trace(_mutated(line_no, field, value))
     assert exc_info.value.line_no == line_no
     assert str(exc_info.value) == f"line {line_no}: {message}"
+
+
+_BIG = "1234567890123456789012345"
+_BAD_VALUES = ("", "x", "-1", "%", "%+f", _BIG)
+# What parse_trace makes of each bad value in each field of an EV line of
+# the `_repeated_events` trace (lines 3-8): the error class and message at
+# the mutated line, or None when the trace parses. Written from the parser
+# as it was before its loop stopped calling a helper per field, so the
+# table pins every check's order. The one difference is the malformed
+# escape "%+f" in a key (field 6) or detail (field 11), which that parser
+# decoded as "\x0f".
+_PARSE_OUTCOMES = {
+    (0, ""): (MalformedLine, "not a PD2|EV or PD2|CTX record"),
+    (0, "x"): (MalformedLine, "not a PD2|EV or PD2|CTX record"),
+    (0, "-1"): (MalformedLine, "not a PD2|EV or PD2|CTX record"),
+    (0, "%"): (MalformedLine, "not a PD2|EV or PD2|CTX record"),
+    (0, "%+f"): (MalformedLine, "not a PD2|EV or PD2|CTX record"),
+    (0, _BIG): (MalformedLine, "not a PD2|EV or PD2|CTX record"),
+    (1, ""): (MalformedLine, "not a PD2|EV or PD2|CTX record"),
+    (1, "x"): (MalformedLine, "not a PD2|EV or PD2|CTX record"),
+    (1, "-1"): (MalformedLine, "not a PD2|EV or PD2|CTX record"),
+    (1, "%"): (MalformedLine, "not a PD2|EV or PD2|CTX record"),
+    (1, "%+f"): (MalformedLine, "not a PD2|EV or PD2|CTX record"),
+    (1, _BIG): (MalformedLine, "not a PD2|EV or PD2|CTX record"),
+    (2, ""): (MalformedLine, "seq is not an integer: ''"),
+    (2, "x"): (MalformedLine, "seq is not an integer: 'x'"),
+    (2, "-1"): (MalformedLine, "seq below 1: -1"),
+    (2, "%"): (MalformedLine, "seq is not an integer: '%'"),
+    (2, "%+f"): (MalformedLine, "seq is not an integer: '%+f'"),
+    (2, _BIG): None,
+    (3, ""): (MalformedLine, "timestamp is not an integer: ''"),
+    (3, "x"): (MalformedLine, "timestamp is not an integer: 'x'"),
+    (3, "-1"): (MalformedLine, "timestamp below 0: -1"),
+    (3, "%"): (MalformedLine, "timestamp is not an integer: '%'"),
+    (3, "%+f"): (MalformedLine, "timestamp is not an integer: '%+f'"),
+    (3, _BIG): None,
+    (4, ""): (UnknownKind, "unknown event kind ''"),
+    (4, "x"): (UnknownKind, "unknown event kind 'x'"),
+    (4, "-1"): (UnknownKind, "unknown event kind '-1'"),
+    (4, "%"): (UnknownKind, "unknown event kind '%'"),
+    (4, "%+f"): (UnknownKind, "unknown event kind '%+f'"),
+    (4, _BIG): (UnknownKind, f"unknown event kind '{_BIG}'"),
+    (5, ""): (MalformedLine, "unknown mechanism ''"),
+    (5, "x"): (MalformedLine, "unknown mechanism 'x'"),
+    (5, "-1"): (MalformedLine, "unknown mechanism '-1'"),
+    (5, "%"): (MalformedLine, "unknown mechanism '%'"),
+    (5, "%+f"): (MalformedLine, "unknown mechanism '%+f'"),
+    (5, _BIG): (MalformedLine, f"unknown mechanism '{_BIG}'"),
+    (6, ""): None,
+    (6, "x"): None,
+    (6, "-1"): None,
+    (6, "%"): (MalformedLine, "truncated escape near ''"),
+    (6, "%+f"): (MalformedLine, "bad escape %'+f'"),
+    (6, _BIG): None,
+    (7, ""): (MalformedLine, "thread_id is not an integer: ''"),
+    (7, "x"): (MalformedLine, "thread_id is not an integer: 'x'"),
+    (7, "-1"): (MalformedLine, "thread_id below 0: -1"),
+    (7, "%"): (MalformedLine, "thread_id is not an integer: '%'"),
+    (7, "%+f"): (MalformedLine, "thread_id is not an integer: '%+f'"),
+    (7, _BIG): None,
+    (8, ""): (MalformedLine, "parent_thread_id is not an integer: ''"),
+    (8, "x"): (MalformedLine, "parent_thread_id is not an integer: 'x'"),
+    (8, "-1"): (MalformedLine, "parent_thread_id below 0: -1"),
+    (8, "%"): (MalformedLine, "parent_thread_id is not an integer: '%'"),
+    (8, "%+f"): (MalformedLine, "parent_thread_id is not an integer: '%+f'"),
+    (8, _BIG): (MalformedLine, "main thread cannot have a parent"),
+    (9, ""): (MalformedLine, "is_main must be 0 or 1, got ''"),
+    (9, "x"): (MalformedLine, "is_main must be 0 or 1, got 'x'"),
+    (9, "-1"): (MalformedLine, "is_main must be 0 or 1, got '-1'"),
+    (9, "%"): (MalformedLine, "is_main must be 0 or 1, got '%'"),
+    (9, "%+f"): (MalformedLine, "is_main must be 0 or 1, got '%+f'"),
+    (9, _BIG): (MalformedLine, f"is_main must be 0 or 1, got '{_BIG}'"),
+    (10, ""): (MalformedLine, "unknown context id ''"),
+    (10, "x"): (MalformedLine, "unknown context id 'x'"),
+    (10, "-1"): (MalformedLine, "unknown context id '-1'"),
+    (10, "%"): (MalformedLine, "unknown context id '%'"),
+    (10, "%+f"): (MalformedLine, "unknown context id '%+f'"),
+    (10, _BIG): (MalformedLine, f"unknown context id '{_BIG}'"),
+    (11, ""): None,
+    (11, "x"): None,
+    (11, "-1"): None,
+    (11, "%"): (MalformedLine, "truncated escape near ''"),
+    (11, "%+f"): (MalformedLine, "bad escape %'+f'"),
+    (11, _BIG): None,
+}
+# Where a line's own role changes the outcome: a seq above every later
+# one fails at the next line, a Spawn (line 4) carries no task key, and
+# a parent id is refused only for the main thread (lines 3, 5 and 8).
+_LINE_OUTCOMES = {
+    (3, 2, _BIG): (4, NonMonotonicSeq, f"seq 2 after {_BIG}"),
+    (4, 2, _BIG): (5, NonMonotonicSeq, f"seq 3 after {_BIG}"),
+    (5, 2, _BIG): (6, NonMonotonicSeq, f"seq 4 after {_BIG}"),
+    (6, 2, _BIG): (7, NonMonotonicSeq, f"seq 5 after {_BIG}"),
+    (7, 2, _BIG): (8, NonMonotonicSeq, f"seq 6 after {_BIG}"),
+    (4, 6, ""): (4, MalformedLine, "Spawn must not carry mechanism/task_key"),
+    (4, 6, "x"): (4, MalformedLine, "Spawn must not carry mechanism/task_key"),
+    (4, 6, "-1"): (4, MalformedLine, "Spawn must not carry mechanism/task_key"),
+    (4, 6, _BIG): (4, MalformedLine, "Spawn must not carry mechanism/task_key"),
+    (4, 8, _BIG): None,
+    (6, 8, _BIG): None,
+    (7, 8, _BIG): None,
+}
+
+
+@pytest.mark.parametrize("line_no", range(3, 9))
+@pytest.mark.parametrize("field", range(_EVENT_FIELDS))
+def test_every_bad_event_field_keeps_its_outcome(line_no, field):
+    """Each bad value in each field of each EV line parses, or fails with
+    the class, line and message in the table."""
+    for value in _BAD_VALUES:
+        want = _LINE_OUTCOMES.get((line_no, field, value), False)
+        if want is False:
+            want = _PARSE_OUTCOMES[field, value]
+            want = want and (line_no, *want)
+        data = _mutated(line_no, field, value)
+        if want is None:
+            parse_trace(data)
+            continue
+        at, error, message = want
+        with pytest.raises(TraceLogError) as exc_info:
+            parse_trace(data)
+        assert type(exc_info.value) is error, value
+        assert exc_info.value.line_no == at, value
+        assert str(exc_info.value) == f"line {at}: {message}"
 
 
 @pytest.mark.parametrize("line_no, field, value, error, message", [
