@@ -64,9 +64,6 @@ class _InternalTest(dict):
 
 _is_internal = _InternalTest()
 
-# A context whose frames drain fills in: no formatting and no dataclass
-# __init__ on the submission path.
-_blank_context = partial(object.__new__, ExecutionContext)
 # Builds an event as namedtuple's own __new__ does, minus its Python call.
 _tuple_new = tuple.__new__
 # The kinds logged on a task's path. Reading a member off an Enum class
@@ -109,6 +106,108 @@ def _forget_line_table(key: int, ref) -> None:
 # CO_GENERATOR | CO_COROUTINE | CO_ASYNC_GENERATOR: such a frame's caller
 # changes each time it resumes, so a capture never holds it.
 _RESUMABLE = 0x2a0
+# A context whose frames drain fills in: no formatting and no dataclass
+# __init__ on the submission path.
+_blank_context = partial(object.__new__, ExecutionContext)
+
+
+class _Capture:
+    """A session's context capture. The submission path reads no symbol
+    and no line number, and formats nothing: drain's ``resolve`` names and
+    numbers each context's frames. While a plain function frame runs, its
+    callers and where they are cannot change, so the contexts captured
+    below it are a function of the raw tuples walked down to it. The unit
+    holds one frame, the last user frame of the first two that its last
+    full walk saw, by a strong reference so that its identity cannot be
+    reused, with the contexts captured below it. A walk whose first or
+    second user frame is the held frame returns the context its raw tuples
+    down to that frame gave before. Any other walk goes to the end and is
+    counted in ``walks``; it adds its context to the held frame's when that
+    frame was among its first two user frames, and otherwise holds its own
+    last such frame in its place, unless that frame is resumable. The
+    table gives each distinct raw stack one context, and keeps the code
+    objects walked for it, so that no id in a live key can be reused; a new
+    stack takes the blank context in one ``setdefault``, which hashes the
+    key once and no code object.
+    """
+
+    def __init__(self) -> None:
+        self._held = (None, None)
+        self.walks = 0
+        self._contexts: dict[tuple, tuple[ExecutionContext, list]] = {}
+        self._blank = _blank_context()
+
+    def context(self) -> ExecutionContext:
+        """The context of its caller's caller's raw stack, innermost first,
+        a ``(module, id(code), f_lasti)`` tuple for each user frame. Called
+        by ``_register_task``, with the session's lock held."""
+        depth = DEFAULT_CAPTURE_DEPTH
+        held, known = self._held
+        raw, codes = [], []
+        key = last = None
+        f = sys._getframe(2)
+        while f is not None and len(codes) < 2:
+            module = f.f_globals.get("__name__", "?")
+            if not _is_internal[module]:
+                code = f.f_code
+                codes.append(code)
+                raw.append((module, id(code), f.f_lasti))
+                if f is held:
+                    key = tuple(raw)
+                    context = known.get(key)
+                    if context is not None:
+                        return context
+                last = f
+            f = f.f_back
+        self.walks += 1
+        while f is not None and len(codes) < depth:
+            module = f.f_globals.get("__name__", "?")
+            if not _is_internal[module]:
+                code = f.f_code
+                codes.append(code)
+                raw.append((module, id(code), f.f_lasti))
+            f = f.f_back
+        raw = tuple(raw)
+        blank = self._blank
+        context = self._contexts.setdefault(raw, (blank, codes))[0]
+        if context is blank:
+            self._blank = _blank_context()
+        if key is not None:
+            known[key] = context
+        elif last is None or last.f_code.co_flags & _RESUMABLE:
+            self._held = (None, None)
+        else:
+            self._held = (last, {raw[:2]: context})
+        return context
+
+    def resolve(self, log: list) -> None:
+        """Name and number the table's contexts' frames, as
+        ``module:symbol:line``, and let go of the held frame and the table."""
+        contexts, self._contexts = self._contexts, {}
+        self._held = (None, None)
+        # Each raw frame is named once a drain: stacks share their callers.
+        names: dict[tuple, str] = {}
+        by_frames: dict[tuple, ExecutionContext] = {}
+        merged: dict[int, ExecutionContext] = {}
+        for raw, (context, codes) in contexts.items():
+            frames = []
+            for frame, code in zip(raw, codes):
+                name = names.get(frame)
+                if name is None:
+                    name = names[frame] = frame[0] + _where(code, frame[2])
+                frames.append(name)
+            frames = tuple(frames) or _UNKNOWN
+            object.__setattr__(context, "frames", frames)
+            first = by_frames.setdefault(frames, context)
+            if first is not context:
+                merged[id(context)] = first
+        if merged:
+            # Raw stacks that name and number alike, such as two calls on
+            # one line, share the first one's context, in the log itself so
+            # that a later drain hands out the same events.
+            for i, event in enumerate(log):
+                if event.kind is _SCHEDULE and id(event.context) in merged:
+                    log[i] = event._replace(context=merged[id(event.context)])
 
 
 class ProfilerError(Exception):
@@ -276,16 +375,12 @@ class ProfilerSession:
         clock: ClockSource | None = None,
         config_label: str = "",
         session_id: str = "session",
-        capture_depth: int = DEFAULT_CAPTURE_DEPTH,
         emit_events: bool = True,
         drain_timeout_s: float = 30.0,
     ) -> None:
-        if capture_depth < 1:
-            raise ValueError("capture_depth must be at least 1")
         self.clock = clock if clock is not None else VirtualClock()
         self.config_label = config_label
         self.session_id = session_id
-        self.capture_depth = capture_depth
         self.emit_events = emit_events
         self.drain_timeout_s = drain_timeout_s
         self._closed = False
@@ -303,17 +398,7 @@ class ProfilerSession:
             partial(itertools.count, 1))
         self._tasks: dict[str, _TaskState] = {}
         self._outstanding = 0
-        # The held frame, the capture depth it was held at and the contexts
-        # captured below it, keyed by the raw tuples walked down to it; the
-        # number of full walks; the table from each distinct raw stack to
-        # the one ExecutionContext that every Schedule of it carries and the
-        # code objects walked for it; and the blank context that the next
-        # new stack takes. See _capture_context. _assemble names and numbers
-        # the frames of the table's contexts and empties it.
-        self._held = (None, 0, None)
-        self._walks = 0
-        self._contexts: dict[tuple, tuple[ExecutionContext, list]] = {}
-        self._blank = _blank_context()
+        self._capture = _Capture()
         self._services: dict[str, SerialQueueExecutor] = {}
         self._facade: AsyncFacade | None = None
         if self.clock.mode is ClockMode.VIRTUAL:
@@ -323,6 +408,13 @@ class ProfilerSession:
         self._fresh_threads = _Executor(self)
         self.main_thread = ThreadIdentity(self._next_tid(), None, True)
         self._tls.ident = self.main_thread
+
+    @property
+    def capture_walks(self) -> int:
+        """How many context captures walked the stack in full, rather than
+        returning a context held for a live frame. Not written to the
+        trace."""
+        return self._capture.walks
 
     # -- thread identities ------------------------------------------------
 
@@ -369,81 +461,6 @@ class ProfilerSession:
         finally:
             tls.ident = prev
 
-    # -- context capture ---------------------------------------------------
-
-    @property
-    def capture_walks(self) -> int:
-        """How many context captures walked the stack in full, rather than
-        returning a context held for a live frame. Not written to the
-        trace."""
-        return self._walks
-
-    def _capture_context(self) -> ExecutionContext:
-        """The caller's context: the session's ExecutionContext for its raw
-        stack, innermost first, a ``(module, id(code), f_lasti)`` tuple for
-        each user frame.
-
-        The submission path reads no symbol and no line number, and formats
-        nothing: drain names and numbers each context's frames. While a
-        plain function frame runs, its callers and where they are cannot
-        change, so the contexts captured below it are a function of the raw
-        tuples walked down to it. The session holds one frame, the last user
-        frame of the first two that its last full walk saw, by a strong
-        reference so that its identity cannot be reused, with the contexts
-        captured below it. A walk whose first or second user frame is the
-        held frame, at the depth it was held at, returns the context its
-        raw tuples down to that frame gave before. Any other walk goes to
-        the end; it adds its context to the held frame's when that frame
-        was among its first two user frames, and otherwise holds its own
-        last such frame in its place, unless that frame is resumable. The
-        session's table gives each distinct raw stack one context, and
-        keeps the code objects walked for it, so that no id in a live key
-        can be reused; a new stack takes the blank context in one
-        ``setdefault``, which hashes the key once and no code object.
-        Called with the lock held; drain releases the held frame and the
-        table.
-        """
-        depth = self.capture_depth
-        held, held_depth, known = self._held
-        raw: list = []
-        codes: list = []
-        head = 2 if depth > 2 else depth
-        key = last = None
-        f = sys._getframe(2)
-        while f is not None and len(codes) < head:
-            module = f.f_globals.get("__name__", "?")
-            if not _is_internal[module]:
-                code = f.f_code
-                codes.append(code)
-                raw.append((module, id(code), f.f_lasti))
-                if f is held and depth == held_depth:
-                    key = tuple(raw)
-                    context = known.get(key)
-                    if context is not None:
-                        return context
-                last = f
-            f = f.f_back
-        self._walks += 1
-        while f is not None and len(codes) < depth:
-            module = f.f_globals.get("__name__", "?")
-            if not _is_internal[module]:
-                code = f.f_code
-                codes.append(code)
-                raw.append((module, id(code), f.f_lasti))
-            f = f.f_back
-        raw = tuple(raw)
-        blank = self._blank
-        context = self._contexts.setdefault(raw, (blank, codes))[0]
-        if context is blank:
-            self._blank = _blank_context()
-        if key is not None:
-            known[key] = context
-        elif last is None or last.f_code.co_flags & _RESUMABLE:
-            self._held = (None, 0, None)
-        else:
-            self._held = (last, depth, {raw[:head]: context})
-        return context
-
     # -- task lifecycle ------------------------------------------------------
 
     def _register_task(self, task: Task, mechanism: Mechanism,
@@ -460,7 +477,7 @@ class ProfilerSession:
         self._tasks[state.key] = state
         self._outstanding += 1
         if self.emit_events:
-            context = self._capture_context()
+            context = self._capture.context()
             self._events.append(_tuple_new(TaskEvent, (
                 self.clock.now_ns(), _SCHEDULE, mechanism, state.key,
                 requester, context, task.label)))
@@ -604,11 +621,10 @@ class ProfilerSession:
         quiesced = self.wait_idle(
             timeout_s if timeout_s is not None else self.drain_timeout_s
         )
-        # No capture runs, or starts, after this step, and what it finds
-        # unfinished is what the DrainTimeout names.
+        # No capture runs, or starts, after this step, so resolve finds the
+        # whole table; what it finds unfinished is what DrainTimeout names.
         with self._lock:
             self._closed = True
-            self._held = (None, 0, None)
             unfinished = [] if quiesced else [
                 (state, state.status) for state in self._tasks.values()
                 if state.status in ("queued", "running")]
@@ -636,36 +652,11 @@ class ProfilerSession:
 
     def _assemble(self) -> TraceSession:
         """The log is the trace: its events are handed out as they were
-        built, in a stably sorted copy, and only the contexts' frames are
-        filled in, as ``module:symbol:line`` strings resolved from each raw
-        stack's code objects. No capture follows the first drain, so its
-        table is complete, and a later drain finds every context filled
-        in."""
-        contexts, self._contexts = self._contexts, {}
-        # Each raw frame is named once a drain: stacks share their callers.
-        names: dict[tuple, str] = {}
-        by_frames: dict[tuple, ExecutionContext] = {}
-        merged: dict[int, ExecutionContext] = {}
-        for raw, (context, codes) in contexts.items():
-            frames = []
-            for frame, code in zip(raw, codes):
-                name = names.get(frame)
-                if name is None:
-                    name = names[frame] = frame[0] + _where(code, frame[2])
-                frames.append(name)
-            frames = tuple(frames) or _UNKNOWN
-            object.__setattr__(context, "frames", frames)
-            first = by_frames.setdefault(frames, context)
-            if first is not context:
-                merged[id(context)] = first
-        if merged:
-            # Raw stacks that name and number alike, such as two calls on
-            # one line, share the first one's context, in the log itself so
-            # that a later drain hands out the same events.
-            log = self._events
-            for i, event in enumerate(log):
-                if event.kind is _SCHEDULE and id(event.context) in merged:
-                    log[i] = event._replace(context=merged[id(event.context)])
+        built, in a stably sorted copy, once the capture's ``resolve`` has
+        filled in their contexts' frames. No capture follows the first
+        drain, so its resolve finds the whole table, and a later drain
+        finds every context filled in."""
+        self._capture.resolve(self._events)
         # One slice is a consistent copy even while real workers append;
         # the stable sort keeps emission order among equal timestamps.
         events = self._events[:]

@@ -64,6 +64,10 @@ class ExecutionContext:
 
     frames: tuple[str, ...]
 
+    def __post_init__(self) -> None:
+        if not self.frames:
+            raise ValueError("an execution context has at least one frame")
+
 
 class TaskEvent(NamedTuple):
     """One timestamped lifecycle event for a task on a thread.

@@ -1,9 +1,9 @@
 """Line-based trace log format (`.pdt`): writer and parser.
 
 One record per line, '|'-separated fields, ';'-separated context frames,
-percent escaping for the delimiter characters. UTF-8, LF line endings.
-The format is versioned by the `PD2` prefix; a stream of any other
-version is rejected at its header.
+percent escaping for the delimiters and carriage return. UTF-8, LF line
+endings. The format is versioned by the `PD2` prefix; a stream of any
+other version is rejected at its header.
 
 A session's Schedule events share few distinct contexts, so each context
 is written once: a `PD2|CTX|<id>|<frames>` line defines it just before
@@ -60,6 +60,7 @@ def _escape(value: str) -> str:
         .replace("|", "%7C")
         .replace(";", "%3B")
         .replace("\n", "%0A")
+        .replace("\r", "%0D")
     )
     # A bare underscore is the absent-field sentinel; keep it round-trippable.
     return "%5F" if out == "_" else out
@@ -270,6 +271,9 @@ def parse_trace(data: bytes) -> TraceSession:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise MalformedLine(f"invalid UTF-8: {exc}", 0) from None
+    if "\r" in text:  # _escape writes none; a CRLF stream would parse wrong
+        line_no = text.count("\n", 0, text.index("\r")) + 1
+        raise MalformedLine("carriage return in a line", line_no)
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()

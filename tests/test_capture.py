@@ -2,11 +2,12 @@
 replaces, the interning of what it returns, the frames drain names and
 numbers, and how long the held frame and the line tables live.
 
-``OracleSession`` computes, at every submission, both the session's
-capture and the plain walk below from the same frame, and checks at drain
-that each Schedule carries its walk's frames. The plain walk, with its
-``startswith`` module test and its ``f_lineno`` reads, is the reference
-and lives only here.
+``_OracleCapture`` is a capture unit that computes, at every capture, both
+the unit's context and the plain walk below from the same frame, and
+checks at ``resolve`` that each Schedule carries its walk's frames;
+``OracleSession`` is a session that installs one. The plain walk, with
+its ``startswith`` module test and its ``f_lineno`` reads, is the
+reference and lives only here. The unit is also driven without a session.
 """
 
 from collections import Counter
@@ -20,11 +21,14 @@ import weakref
 import pytest
 
 from asyncscope.clock import RealMonotonicClock, VirtualClock
+from asyncscope import runtime
 from asyncscope.runtime import (
     _INTERNAL_MODULES,
+    DEFAULT_CAPTURE_DEPTH,
     DrainTimeout,
     ProfilerSession,
     Task,
+    _Capture,
     _line_tables,
 )
 from asyncscope.trace_model import EventKind, TaskEvent
@@ -53,9 +57,9 @@ def formatted(triples):
     return tuple(f"{module}:{symbol}:{line}" for module, symbol, line in triples)
 
 
-class OracleSession(ProfilerSession):
-    def __init__(self, **kwargs):
-        super().__init__(**kwargs)
+class _OracleCapture(_Capture):
+    def __init__(self):
+        super().__init__()
         self.captures = 0
         self.mismatches = []
         self.returned = []  # (context, the uncached walk's triples)
@@ -63,12 +67,12 @@ class OracleSession(ProfilerSession):
         # objects, kept so that no id in a key here can be reused.
         self.by_raw = {}
 
-    def _capture_context(self):
-        # Frame 2 is what the session's own capture starts from when
+    def context(self):
+        # Frame 2 is what the unit's own walk starts from when
         # _register_task calls it; called from here, it starts one frame
         # lower, at _register_task itself, which the walk skips.
-        want, raw, codes = uncached_walk(sys._getframe(2), self.capture_depth)
-        got = super()._capture_context()
+        want, raw, codes = uncached_walk(sys._getframe(2), DEFAULT_CAPTURE_DEPTH)
+        got = super().context()
         self.captures += 1
         self.returned.append((got, want))
         # A repeated raw stack returns the object it returned before.
@@ -76,12 +80,12 @@ class OracleSession(ProfilerSession):
             self.mismatches.append((got, want))
         return got
 
-    def _assemble(self):
-        trace = super()._assemble()
+    def resolve(self, log):
+        super().resolve(log)
         # Each capture is logged at once, under the lock, so the log's
         # Schedules are in capture order. Each carries its walk's frames,
         # and equal frames are one object, in the log and in the trace.
-        schedules = [ev for ev in self._events if ev.kind is EventKind.SCHEDULE]
+        schedules = [ev for ev in log if ev.kind is EventKind.SCHEDULE]
         for ev, (got, want) in zip(schedules, self.returned, strict=True):
             if ev.context.frames != formatted(want):
                 self.mismatches.append((ev.context, want))
@@ -89,7 +93,12 @@ class OracleSession(ProfilerSession):
         for ev in schedules:
             if one.setdefault(ev.context.frames, ev.context) is not ev.context:
                 self.mismatches.append((ev.context, one[ev.context.frames]))
-        return trace
+
+
+class OracleSession(ProfilerSession):
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.oracle = self._capture = _OracleCapture()
 
 
 def schedule_contexts(trace):
@@ -193,7 +202,7 @@ def nested(s):
 
 
 def deep(s):
-    """Submissions from below more frames than capture_depth keeps."""
+    """Submissions from below more frames than DEFAULT_CAPTURE_DEPTH."""
     def down(k):
         if k:
             down(k - 1)
@@ -217,14 +226,6 @@ def direct_recursion(s):
     pool = s.pool_executor(core_size=2, max_size=2)
     for _ in range(3):
         _recurse_and_submit(pool, 12)
-
-
-def depth_change(s):
-    pool = s.pool_executor(core_size=2, max_size=2)
-    for i in range(20):
-        if i == 10:
-            s.capture_depth += 2
-        _submit(pool, _task("changed"))
 
 
 def alternating(s):
@@ -308,25 +309,27 @@ def no_user_frame(s):
 
 
 CASES = [loop, two_lines, helper, recursion, direct_recursion, generators,
-         nested, deep, depth_change, alternating, foreign, one_line_two_calls,
+         nested, deep, alternating, foreign, one_line_two_calls,
          one_code_two_modules, dropped_helpers, no_user_frame]
 
 
-@pytest.mark.parametrize("depth", [1, 2, 32])
+@pytest.mark.parametrize("depth", [DEFAULT_CAPTURE_DEPTH])
 @pytest.mark.parametrize("case", CASES, ids=[c.__name__ for c in CASES])
 def test_capture_equals_uncached_walk(case, depth):
-    session = OracleSession(clock=VirtualClock(), capture_depth=depth)
+    session = OracleSession(clock=VirtualClock())
     case(session)
     session.drain()
-    assert session.captures > 0
-    assert session.mismatches == []
+    assert session.oracle.captures > 0
+    assert session.oracle.mismatches == []
+    assert all(len(context.frames) <= depth
+               for context, _ in session.oracle.returned)
 
 
 def test_one_code_under_two_modules_gives_two_contexts():
     session = OracleSession(clock=VirtualClock())
     one_code_two_modules(session)
     trace = session.drain()
-    assert session.mismatches == []
+    assert session.oracle.mismatches == []
     assert sorted({c.frames[0] for c in schedule_contexts(trace)}) == [
         f"shared_code_{m}:_submit:{_submit.__code__.co_firstlineno + 1}"
         for m in "ab"]
@@ -336,7 +339,7 @@ def test_no_user_frame_is_unknown():
     session = OracleSession(clock=VirtualClock())
     no_user_frame(session)
     trace = session.drain()
-    assert session.mismatches == []
+    assert session.oracle.mismatches == []
     assert {c.frames for c in schedule_contexts(trace)} == {
         ("<unknown>:<unknown>:0",)}
 
@@ -348,7 +351,7 @@ def test_reused_code_ids_get_their_own_lines():
         session = OracleSession(clock=VirtualClock())
         dropped_helpers(session)
         session.drain()
-        assert session.mismatches == []
+        assert session.oracle.mismatches == []
 
 
 def test_line_table_goes_with_its_code():
@@ -371,8 +374,9 @@ def test_module_test_agrees_with_startswith():
     session = OracleSession(clock=VirtualClock())
     foreign(session)
     session.drain()
-    assert session.mismatches == []
-    modules = {frame.rsplit(":", 2)[0] for context, _ in session.returned
+    assert session.oracle.mismatches == []
+    modules = {frame.rsplit(":", 2)[0]
+               for context, _ in session.oracle.returned
                for frame in context.frames}
     # "asyncscope.runtime_helpers" starts with "asyncscope.runtime".
     assert "asyncscope.runtime_helpers" not in modules
@@ -413,7 +417,7 @@ def test_loops_reuse_the_anchor(case):
     session = OracleSession(clock=VirtualClock())
     case(session)
     session.drain()
-    assert session.capture_walks < session.captures / 2
+    assert session.capture_walks < session.oracle.captures / 2
 
 
 def test_capture_equals_uncached_walk_on_concurrent_submitters():
@@ -448,8 +452,8 @@ def test_capture_equals_uncached_walk_on_concurrent_submitters():
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     trace = session.drain(timeout_s=60)
-    assert session.captures == n_threads * per_thread
-    assert session.mismatches == []
+    assert session.oracle.captures == n_threads * per_thread
+    assert session.oracle.mismatches == []
     check_drained(session, trace)
 
 
@@ -462,7 +466,7 @@ def check_drained(session, trace):
     assert Counter(map(id, contexts)) == Counter(
         id(ev.context) for ev in session._events
         if ev.kind is EventKind.SCHEDULE)
-    assert len(contexts) == session.captures
+    assert len(contexts) == session.oracle.captures
     assert all(type(frame) is str for context in contexts
                for frame in context.frames)
 
@@ -474,7 +478,7 @@ def test_drained_schedules_carry_formatted_contexts(clock):
     two_lines(session)
     alternating(session)
     trace = session.drain(timeout_s=10)
-    assert session.mismatches == []
+    assert session.oracle.mismatches == []
     check_drained(session, trace)
 
 
@@ -494,7 +498,7 @@ def test_partial_session_carries_formatted_contexts(clock):
             session.drain(timeout_s=0.5)
     finally:
         release.set()
-    assert session.mismatches == []
+    assert session.oracle.mismatches == []
     check_drained(session, exc_info.value.session)
 
 
@@ -593,3 +597,47 @@ def test_a_second_drain_gives_the_same_contexts():
     assert all(context.frames for context in contexts)
     # The first drain gave one line's two raw stacks one context.
     assert len({id(c) for c in contexts[20:40]}) == 1
+
+
+# -- the unit without a session --------------------------------------------------
+
+
+def _capture(unit):
+    """Stands in for _register_task: the unit's walk starts at this
+    function's caller, and so does the uncached walk returned with it."""
+    return unit.context(), uncached_walk(sys._getframe(1), DEFAULT_CAPTURE_DEPTH)[0]
+
+
+def _capture_site(unit, got):
+    for _ in range(5):
+        got.append(_capture(unit))
+    got.append(_capture(unit))
+
+
+def _capture_loop(unit, got):
+    """Calls one site in a loop, and returns a weak reference to one of
+    its own locals: its frame is the one the unit holds."""
+    local = _Local()
+    for _ in range(3):
+        _capture_site(unit, got)
+    return weakref.ref(local)
+
+
+def test_capture_unit_without_a_session(monkeypatch):
+    unit = _Capture()
+    got = []
+    ref = _capture_loop(unit, got)
+    # The first capture holds the loop's frame, the second user frame, and
+    # the site's second line walks once more; every other capture, in each
+    # call of the site, finds a context held below that frame.
+    assert len(got) == 18 and unit.walks == 2
+    assert ref() is not None
+    unit.resolve([])
+    assert ref() is None
+    for context, want in got:
+        assert context.frames == formatted(want)
+    assert len({id(context) for context, _ in got}) == 2
+    # The first resolve emptied the table: the second names no frame.
+    monkeypatch.setattr(runtime, "_where", None)
+    unit.resolve([])
+    assert all(context.frames == formatted(want) for context, want in got)

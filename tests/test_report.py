@@ -306,8 +306,9 @@ _warnings = st.builds(
              max_size=4).map(tuple))
 _rows = st.builds(
     ReportRow, _texts, _ints, _ints,
-    st.builds(GroupStats, st.just(ExecutionContext(())), st.sampled_from(Mechanism),
-              _ints, _ints, _ints, _metric_stats, _metric_stats),
+    st.builds(GroupStats, st.just(ExecutionContext(("m:f:1",))),
+              st.sampled_from(Mechanism), _ints, _ints, _ints, _metric_stats,
+              _metric_stats),
     st.lists(_warnings, max_size=3).map(tuple), _floats)
 
 

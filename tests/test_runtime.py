@@ -358,12 +358,10 @@ def test_negative_keep_alive_rejected():
         session.pool_executor(core_size=1, max_size=2, keep_alive_ns=-10 * MS)
 
 
-@pytest.mark.parametrize("depth", [0, -3])
-def test_capture_depth_below_one_rejected(depth):
-    """A depth below one would fold every submission site into one
-    ``<unknown>`` context."""
-    with pytest.raises(ValueError, match="capture_depth"):
-        ProfilerSession(clock=VirtualClock(), capture_depth=depth)
+def test_capture_depth_is_not_a_parameter():
+    """Every session captures to DEFAULT_CAPTURE_DEPTH user frames."""
+    with pytest.raises(TypeError, match="capture_depth"):
+        ProfilerSession(clock=VirtualClock(), capture_depth=3)
 
 
 def test_system_thread_outside_lineage():

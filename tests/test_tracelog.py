@@ -1,5 +1,6 @@
 """Round-trip and robustness tests for the trace log codec."""
 
+import pathlib
 import random
 
 import pytest
@@ -31,6 +32,7 @@ from asyncscope.trace_model import (
 from test_acceptance import _random_session
 
 MAIN = ThreadIdentity(1, None, True)
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def _session(events, session_id="s", label="cfg", origin=0):
@@ -122,6 +124,43 @@ def test_unknown_mechanism_positioned():
     with pytest.raises(MalformedLine) as exc_info:
         parse_trace(mutated)
     assert exc_info.value.line_no == 4
+
+
+def test_crlf_trace_refused_at_line_one():
+    """A CRLF copy of a golden would otherwise parse, with each line's last
+    field ending in a carriage return."""
+    data = (DATA / "sequential_execute.pdt").read_bytes().replace(b"\n", b"\r\n")
+    with pytest.raises(MalformedLine, match="carriage return") as exc_info:
+        parse_trace(data)
+    assert exc_info.value.line_no == 1
+
+
+def test_raw_carriage_return_positioned():
+    lines = encode_session(_session(_three_events())).decode().split("\n")
+    lines[3] = lines[3].replace("|START|", "|ST\rART|")
+    with pytest.raises(MalformedLine, match="carriage return") as exc_info:
+        parse_trace("\n".join(lines).encode())
+    assert exc_info.value.line_no == 4
+
+
+def test_carriage_return_in_a_label_round_trips():
+    events = _three_events()
+    events[0] = events[0]._replace(
+        context=ExecutionContext(("m:f\r:1", "\r")), detail="a\rb")
+    session = _session(events, session_id="s\r", label="\r\n")
+    data = encode_session(session)
+    assert b"\r" not in data and b"%0D" in data
+    assert parse_trace(data) == session
+
+
+def test_context_with_no_frames_refused():
+    """``()`` would be written as an empty frames field, which reads back
+    as one empty frame; one empty frame itself round-trips."""
+    with pytest.raises(ValueError, match="at least one frame"):
+        ExecutionContext(())
+    session = _session([TaskEvent(0, EventKind.SCHEDULE, Mechanism.POOL_EXECUTOR,
+                                  "POOL#1", MAIN, ExecutionContext(("",)))])
+    assert parse_trace(encode_session(session)) == session
 
 
 def test_file_round_trip(tmp_path):
@@ -366,7 +405,7 @@ _frame = st.text(
     min_size=1, max_size=30,
 )
 # Force the escaping-hostile characters in regularly.
-_hostile = st.sampled_from(["|", ";", "%", "_", "%7C", "a|b;c%d", "\n", "%%"])
+_hostile = st.sampled_from(["|", ";", "%", "_", "%7C", "a|b;c%d", "\n", "%%", "\r"])
 _detail = st.one_of(st.none(), _name, _hostile)
 
 
