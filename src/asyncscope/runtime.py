@@ -17,6 +17,7 @@ keep the order in which they were emitted.
 
 from __future__ import annotations
 
+import dis
 import enum
 import heapq
 import itertools
@@ -75,37 +76,100 @@ _SPAWN, _SCHEDULE, _START, _END, _CANCEL = (
 
 # The frames of a capture that walked no user frame.
 _UNKNOWN = ("<unknown>:<unknown>:0",)
-# id(code) -> (weak reference to the code, {f_lasti: ":symbol:line"}),
-# shared by every session: drain names and numbers a frame from it, and
-# scans the code's co_lines() only for an f_lasti it has not seen. An entry
-# goes when its code dies, so a reused id finds no stale table.
-_line_tables: dict[int, tuple] = {}
+# id(code) -> [weak reference to the code, {f_lasti: ":symbol:line"}, the
+# code's repeat spans or None, the keys it added to _repeats], shared by
+# every session. Drain names and numbers a frame from it, and scans the
+# code's co_lines() only for an f_lasti it has not seen; a capture scans the
+# code's jumps once, the first time it tests one of its frames. An entry and
+# its keys in _repeats go when its code dies, so a reused id finds no stale
+# table.
+_line_tables: dict[int, list] = {}
+# (module, id(code), f_lasti) -> whether a capture may hold a frame there,
+# keyed by the walk's own tuple, so that the test is one lookup.
+_repeats: dict[tuple, bool] = {}
+
+
+def _code_entry(code) -> list:
+    """``code``'s entry in ``_line_tables``; threads that make one at once
+    all get the first."""
+    key = id(code)
+    entry = _line_tables.get(key)
+    if entry is None or entry[0]() is not code:
+        if entry is not None:
+            _forget_line_table(key, entry[0])
+        entry = _line_tables.setdefault(key, [
+            weakref.ref(code, partial(_forget_line_table, key)), {}, None, []])
+    return entry
 
 
 def _where(code, lasti: int) -> str:
     """``:symbol:line`` for a frame of ``code`` at ``lasti``, the line
     being the one that ``f_lineno`` gives."""
-    key = id(code)
-    entry = _line_tables.get(key)
-    if entry is None or entry[0]() is not code:
-        entry = _line_tables[key] = (
-            weakref.ref(code, partial(_forget_line_table, key)), {})
-    where = entry[1].get(lasti)
+    entry = _line_tables.get(id(code))
+    if entry is None or entry[0]() is not code:  # no call for a known code
+        entry = _code_entry(code)
+    wheres = entry[1]
+    where = wheres.get(lasti)
     if where is None:
         line = next((line for start, end, line in code.co_lines()
                      if start <= lasti < end), None)
-        where = entry[1][lasti] = f":{code.co_name}:{line}"
+        where = wheres[lasti] = f":{code.co_name}:{line}"
     return where
 
 
 def _forget_line_table(key: int, ref) -> None:
-    if _line_tables.get(key, (None,))[0] is ref:
+    entry = _line_tables.get(key)
+    if entry is not None and entry[0] is ref:
         del _line_tables[key]
+        for frame in entry[3]:
+            _repeats.pop(frame, None)
 
 
 # CO_GENERATOR | CO_COROUTINE | CO_ASYNC_GENERATOR: such a frame's caller
-# changes each time it resumes, so a capture never holds it.
+# changes each time it resumes, so a capture never holds it. Any other
+# frame is held only at an instruction that can run again in the same
+# call: a later capture that meets it elsewhere has other raw tuples.
 _RESUMABLE = 0x2a0
+_BACKWARD = frozenset(op for name, op in dis.opmap.items() if "BACKWARD" in name)
+_ABSOLUTE = frozenset(dis.hasjabs)  # 3.10's jumps, some of them backward
+
+
+def _repeat_spans(code) -> list:
+    """The ``[lo, hi)`` offset ranges in which an instruction of ``code``
+    can run again in the same call: each backward jump's, from its target
+    to itself, and each exception handler's that sends control back, from
+    the handler to the end of the range it guards. Read from CPython
+    3.10-3.12 bytecode; where a later one adds cache entries to a jump, a
+    range only starts earlier than it needs to."""
+    co = code.co_code
+    spans, ext = [], 0
+    for i in range(0, len(co), 2):
+        op, arg = co[i], co[i + 1] | ext
+        ext = arg << 8 if op == dis.EXTENDED_ARG else 0
+        if op in _BACKWARD:
+            spans.append((i + 2 - 2 * arg, i + 2))
+        elif op in _ABSOLUTE and 2 * arg <= i:
+            spans.append((2 * arg, i + 2))
+    if getattr(code, "co_exceptiontable", b""):
+        spans += [(entry.target, entry.end)
+                  for entry in dis.Bytecode(code).exception_entries
+                  if entry.target < entry.end]
+    return spans
+
+
+def _can_repeat(frame: tuple, code) -> bool:
+    """Fills ``_repeats[frame]`` for a raw tuple of ``code``: true when the
+    code is not resumable and the instruction at its f_lasti can run again
+    in the same call."""
+    entry = _code_entry(code)
+    if entry[2] is None:
+        entry[2] = () if code.co_flags & _RESUMABLE else _repeat_spans(code)
+    lasti = frame[2]
+    again = _repeats[frame] = any(lo <= lasti < hi for lo, hi in entry[2])
+    entry[3].append(frame)
+    return again
+
+
 # A context whose frames drain fills in: no formatting and no dataclass
 # __init__ on the submission path.
 _blank_context = partial(object.__new__, ExecutionContext)
@@ -117,18 +181,24 @@ class _Capture:
     numbers each context's frames. While a plain function frame runs, its
     callers and where they are cannot change, so the contexts captured
     below it are a function of the raw tuples walked down to it. The unit
-    holds one frame, the last user frame of the first two that its last
-    full walk saw, by a strong reference so that its identity cannot be
-    reused, with the contexts captured below it. A walk whose first or
-    second user frame is the held frame returns the context its raw tuples
-    down to that frame gave before. Any other walk goes to the end and is
-    counted in ``walks``; it adds its context to the held frame's when that
-    frame was among its first two user frames, and otherwise holds its own
-    last such frame in its place, unless that frame is resumable. The
-    table gives each distinct raw stack one context, and keeps the code
-    objects walked for it, so that no id in a live key can be reused; a new
-    stack takes the blank context in one ``setdefault``, which hashes the
-    key once and no code object.
+    holds at most one frame, by a strong reference so that its identity
+    cannot be reused, with the contexts captured below it. A walk whose
+    first or second user frame is the held frame returns the context its
+    raw tuples down to that frame gave before. Any other walk goes to the
+    end and is counted in ``walks``; it adds its context to the held
+    frame's when that frame was among its first two user frames. Otherwise
+    it holds the outer of its first two user frames if the instruction
+    that frame is at can run again in the same call, else the inner one
+    under the same test, else nothing. No hit is lost: a later walk meets
+    the outer frame with the same raw tuples only if its instruction runs
+    again, or if the inner frame is the same looping call, and then the
+    inner frame is held and each capture of that loop hits at its first
+    user frame. A frame that no capture can meet again is not pinned, so
+    its call chain is not copied out as it returns and freed inside a later
+    submission. The table gives each distinct raw stack one context, and
+    keeps the code objects walked for it, so that no id in a live key can
+    be reused; a new stack takes the blank context in one ``setdefault``,
+    which hashes the key once and no code object.
     """
 
     def __init__(self) -> None:
@@ -174,10 +244,26 @@ class _Capture:
             self._blank = _blank_context()
         if key is not None:
             known[key] = context
-        elif last is None or last.f_code.co_flags & _RESUMABLE:
-            self._held = (None, None)
-        else:
-            self._held = (last, {raw[:2]: context})
+            return context
+        if len(raw) > 1:
+            again = _repeats.get(raw[1])
+            if again is None:
+                again = _can_repeat(raw[1], codes[1])
+            if again:
+                self._held = (last, {raw[:2]: context})
+                return context
+        if raw:
+            again = _repeats.get(raw[0])
+            if again is None:
+                again = _can_repeat(raw[0], codes[0])
+            if again:
+                if len(raw) > 1:  # find the inner frame, which is not last
+                    last = sys._getframe(2)
+                    while _is_internal[last.f_globals.get("__name__", "?")]:
+                        last = last.f_back
+                self._held = (last, {raw[:1]: context})
+                return context
+        self._held = (None, None)
         return context
 
     def resolve(self, log: list) -> None:

@@ -3,16 +3,21 @@ replaces, the interning of what it returns, the frames drain names and
 numbers, and how long the held frame and the line tables live.
 
 ``_OracleCapture`` is a capture unit that computes, at every capture, both
-the unit's context and the plain walk below from the same frame, and
+the unit's context and the plain walk below from the same frame, checks
+after each full walk that the unit holds the frame the rule names, and
 checks at ``resolve`` that each Schedule carries its walk's frames;
 ``OracleSession`` is a session that installs one. The plain walk, with
-its ``startswith`` module test and its ``f_lineno`` reads, is the
-reference and lives only here. The unit is also driven without a session.
+its ``startswith`` module test and its ``f_lineno`` reads, and the rule
+read from ``dis``, are the reference and live only here. The unit is also
+driven without a session.
 """
 
 from collections import Counter
 
 import _thread
+import dis
+import gc
+import inspect
 import sys
 import threading
 import types
@@ -30,6 +35,8 @@ from asyncscope.runtime import (
     Task,
     _Capture,
     _line_tables,
+    _repeat_spans,
+    _repeats,
 )
 from asyncscope.trace_model import EventKind, TaskEvent
 
@@ -57,27 +64,75 @@ def formatted(triples):
     return tuple(f"{module}:{symbol}:{line}" for module, symbol, line in triples)
 
 
+_RESUMABLE = inspect.CO_GENERATOR | inspect.CO_COROUTINE | inspect.CO_ASYNC_GENERATOR
+_JUMPS = frozenset(dis.hasjrel + dis.hasjabs)
+
+
+def may_hold(frame):
+    """Whether a capture may hold ``frame``: its code is not resumable, and
+    its instruction lies between a backward jump's target and the jump, or
+    between an exception handler and the end of a range it guards that
+    ends after it."""
+    code = frame.f_code
+    if code.co_flags & _RESUMABLE:
+        return False
+    lasti = frame.f_lasti
+    bytecode = dis.Bytecode(code)
+    return any(ins.argval <= lasti <= ins.offset for ins in bytecode
+               if ins.opcode in _JUMPS) or any(
+        entry.target <= lasti < entry.end
+        for entry in getattr(bytecode, "exception_entries", ()))
+
+
+def user_frames(f, n):
+    """The first ``n`` user frames from ``f`` outwards."""
+    frames = []
+    while f is not None and len(frames) < n:
+        if not f.f_globals.get("__name__", "?").startswith(_INTERNAL_MODULES):
+            frames.append(f)
+        f = f.f_back
+    return frames
+
+
 class _OracleCapture(_Capture):
     def __init__(self):
         super().__init__()
         self.captures = 0
+        self.held = 0  # frames held, each hold counted once
         self.mismatches = []
         self.returned = []  # (context, the uncached walk's triples)
         # Raw stack -> the context first returned for it, and its code
         # objects, kept so that no id in a key here can be reused.
         self.by_raw = {}
+        # The memo of the frame held last: a new one means a new hold.
+        self._known = None
 
     def context(self):
         # Frame 2 is what the unit's own walk starts from when
         # _register_task calls it; called from here, it starts one frame
         # lower, at _register_task itself, which the walk skips.
         want, raw, codes = uncached_walk(sys._getframe(2), DEFAULT_CAPTURE_DEPTH)
+        head = user_frames(sys._getframe(2), 2)
+        before, walks = self._held[0], self.walks
         got = super().context()
         self.captures += 1
         self.returned.append((got, want))
         # A repeated raw stack returns the object it returned before.
         if self.by_raw.setdefault(raw, (got, codes))[0] is not got:
             self.mismatches.append((got, want))
+        # A full walk that met the held frame keeps it; any other holds the
+        # outer of its first two user frames if it may, else the inner one
+        # if it may, else nothing.
+        if self.walks > walks:
+            if any(frame is before for frame in head):
+                expect = before
+            else:
+                expect = next((f for f in reversed(head) if may_hold(f)), None)
+            if self._held[0] is not expect:
+                self.mismatches.append(("held", got, want))
+        if self._held[0] is not None and self._held[1] is not self._known:
+            self._known = self._held[1]
+            self.held += 1
         return got
 
     def resolve(self, log):
@@ -308,9 +363,80 @@ def no_user_frame(s):
     assert done.acquire(timeout=10)
 
 
+def while_loop(s):
+    pool = s.pool_executor(core_size=2, max_size=2)
+    n = 20
+    while n:
+        pool.submit(_task("while"))
+        n -= 1
+
+
+def _refused_submit(pool, attempt):
+    """Submits, then refuses all but every third attempt."""
+    pool.submit(_task(f"attempt-{attempt}"))
+    if attempt % 3:
+        raise LookupError(attempt)
+
+
+def retry(s):
+    """Each submission retried through try/except until it is accepted."""
+    pool = s.pool_executor(core_size=2, max_size=2)
+    attempt = 0
+    for _ in range(6):
+        while True:
+            try:
+                attempt += 1
+                _refused_submit(pool, attempt)
+                break
+            except LookupError:
+                pass
+
+
+def comprehension(s):
+    pool = s.pool_executor(core_size=2, max_size=2)
+    [pool.submit(_task(f"listed-{i}")) for i in range(20)]
+
+
+def _submit_many(pool, n):
+    for i in range(n):
+        pool.submit(_task(f"many-{i}"))
+
+
+def looping_helper(s):
+    """The helper loops and its caller does not: the helper's frame is
+    held, and its captures hit at their first user frame."""
+    pool = s.pool_executor(core_size=2, max_size=2)
+    _submit_many(pool, 20)
+
+
+def nested_loops(s):
+    """Loops in the caller around a helper that does not loop: the
+    caller's frame is held."""
+    pool = s.pool_executor(core_size=2, max_size=2)
+    for i in range(4):
+        for j in range(5):
+            _submit(pool, _task(f"cell-{i}-{j}"))
+
+
 CASES = [loop, two_lines, helper, recursion, direct_recursion, generators,
          nested, deep, alternating, foreign, one_line_two_calls,
-         one_code_two_modules, dropped_helpers, no_user_frame]
+         one_code_two_modules, dropped_helpers, no_user_frame, while_loop,
+         retry, comprehension, looping_helper, nested_loops]
+
+
+# (full walks, captures) per case when every miss held the outer of its
+# first two user frames wherever it was: holding only a frame that a later
+# capture can meet must never walk more.
+WALKS = {
+    "loop": (1, 20), "two_lines": (2, 33), "helper": (2, 20),
+    "recursion": (78, 78), "direct_recursion": (39, 39),
+    "generators": (100, 100), "nested": (7, 30), "deep": (2, 20),
+    "alternating": (3, 20), "foreign": (3, 12), "one_line_two_calls": (2, 20),
+    "one_code_two_modules": (2, 10), "dropped_helpers": (8, 24),
+    "no_user_frame": (3, 3), "while_loop": (1, 20), "retry": (1, 18),
+    "comprehension": (1, 20), "looping_helper": (1, 20),
+    "nested_loops": (1, 20),
+}
 
 
 @pytest.mark.parametrize("depth", [DEFAULT_CAPTURE_DEPTH])
@@ -319,7 +445,9 @@ def test_capture_equals_uncached_walk(case, depth):
     session = OracleSession(clock=VirtualClock())
     case(session)
     session.drain()
-    assert session.oracle.captures > 0
+    walks, captures = WALKS[case.__name__]
+    assert session.oracle.captures == captures
+    assert session.capture_walks <= walks
     assert session.oracle.mismatches == []
     assert all(len(context.frames) <= depth
                for context, _ in session.oracle.returned)
@@ -367,7 +495,157 @@ def test_line_table_goes_with_its_code():
     assert table() is code()
     del submit
     assert code() is None
-    assert all(ref is not table for ref, _ in _line_tables.values())
+    assert all(entry[0] is not table for entry in _line_tables.values())
+
+
+def _shaped_submit(loops):
+    """Of two helpers whose submit call is at the same offset, which can
+    run again in the looping one and not in the other, and whose bytecode
+    is made as long, so that one's code can take the other's freed id."""
+    namespace = {"__name__": "shaped"}
+    defined = {}
+    exec(compile(_SHAPES[loops], "<shaped>", "exec"), namespace, defined)
+    return defined["submit"]
+
+
+_SHAPES = {
+    True: "def submit(pool, task):\n    n = 2\n    while n:\n"
+          "        n -= 1\n        pool.submit(task)\n",
+    False: "def submit(pool, task):\n    n = 2\n    if n:\n"
+           "        n -= 1\n        pool.submit(task)\n",
+}
+while (len(_shaped_submit(False).__code__.co_code)
+       < len(_shaped_submit(True).__code__.co_code)):
+    _SHAPES[False] += "    n = 0\n"
+
+
+def test_repeat_keys_go_with_their_code():
+    """A capture that tests a frame of a code keys the answer by its raw
+    tuple; the code's entry and those keys go when the code dies."""
+    session = ProfilerSession(clock=VirtualClock())
+    pool = session.pool_executor(core_size=1, max_size=1)
+    submit = _shaped_submit(loops=False)
+    submit(pool, _task("t"))
+    key = id(submit.__code__)
+    keys = [frame for frame in _repeats if frame[1] == key]
+    assert keys == [("shaped", key, keys[0][2])] and _repeats[keys[0]] is False
+    assert _line_tables[key][3] == keys
+    session.drain()
+    ref = _line_tables[key][0]
+    del submit
+    assert ref() is None
+    assert key not in _line_tables
+    assert not any(frame[1] == key for frame in _repeats)
+
+
+def _handlers_before_their_ends(pool, n):
+    """On 3.11, ``with`` after ``except`` gives exception handlers that
+    precede the end of the range they guard, with no loop around them."""
+    try:
+        pool.submit(n)
+    except LookupError:
+        n -= 1
+    with pool:
+        pool.submit(n)
+
+
+# A loop whose jump back needs an EXTENDED_ARG.
+exec("def _long_loop(pool):\n    for _ in range(2):\n"
+     + "        pool.submit(1)\n" * 40)
+
+
+@pytest.mark.parametrize("fn", [loop, while_loop, retry, comprehension,
+                                _submit_many, nested_loops, recursion,
+                                _handlers_before_their_ends, _long_loop,
+                                _Capture.context, _Capture.resolve],
+                         ids=lambda fn: fn.__name__)
+def test_repeat_spans_agree_with_dis(fn):
+    """The spans cover each instruction that dis's jump targets and
+    exception table say can run again, and cover a call exactly when they
+    say so. (Where a jump has cache entries, a span may start earlier.)"""
+    code = fn.__code__
+    if fn is comprehension and sys.version_info < (3, 12):
+        code = next(c for c in code.co_consts if isinstance(c, types.CodeType))
+    bytecode = dis.Bytecode(code)
+    back = [(ins.argval, ins.offset) for ins in bytecode
+            if ins.opcode in _JUMPS and ins.argval <= ins.offset]
+    handlers = [(entry.target, entry.end)
+                for entry in getattr(bytecode, "exception_entries", ())
+                if entry.target < entry.end]
+    assert back or handlers or fn is _handlers_before_their_ends
+    spans = _repeat_spans(code)
+    for ins in bytecode:
+        want = any(lo <= ins.offset <= hi for lo, hi in back) or any(
+            lo <= ins.offset < hi for lo, hi in handlers)
+        got = any(lo <= ins.offset < hi for lo, hi in spans)
+        assert got == want if ins.opname.startswith("CALL") else got >= want, ins
+
+
+def _call_once(submit, pool):
+    """A caller that does not loop, so that the capture tests ``submit``'s
+    own frame."""
+    submit(pool, _task("shaped"))
+
+
+def test_reused_code_ids_are_scanned_again():
+    """Helpers that loop and helpers that do not, in turn, each dropped
+    before the next is made: a code that takes the other shape's id has
+    its own answer, and the unit holds the frame the rule names."""
+    shape_of_id = {}
+    reused = 0
+    for i in range(16):
+        session = OracleSession(clock=VirtualClock())
+        pool = session.pool_executor(core_size=1, max_size=1)
+        loops = bool(i % 2)
+        submit = _shaped_submit(loops)
+        reused += shape_of_id.get(id(submit.__code__), loops) != loops
+        shape_of_id[id(submit.__code__)] = loops
+        _call_once(submit, pool)
+        assert session.oracle.held == loops
+        session.drain()
+        assert session.oracle.mismatches == []
+        # The oracle keeps the codes it walked, and a session is in cycles.
+        del session, pool, submit
+        gc.collect()
+    if not reused:
+        pytest.skip("no code took the id of the other shape's")
+
+
+def test_threads_share_the_repeat_table():
+    """Sessions on more threads than cores test the same new helpers of
+    both shapes at once: every unit holds what the rule names, and once the
+    helpers are gone no key of theirs is left."""
+    n_threads, n_helpers = 4, 40
+    helpers = [_shaped_submit(bool(j % 2)) for j in range(n_helpers)]
+    sessions = [OracleSession(clock=VirtualClock()) for _ in range(n_threads)]
+    barrier = threading.Barrier(n_threads, timeout=10)
+
+    def worker(session):
+        pool = session.pool_executor(core_size=1, max_size=1)
+        barrier.wait()
+        for submit in helpers:
+            _call_once(submit, pool)
+
+    threads = [threading.Thread(target=worker, args=(s,)) for s in sessions]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    for session in sessions:
+        session.drain()
+        # A looping helper submits twice, and its frame is held.
+        assert session.oracle.captures == n_helpers * 3 // 2
+        assert session.oracle.held == n_helpers // 2
+        assert session.oracle.mismatches == []
+    del session, sessions, threads, helpers
+    gc.collect()
+    assert not any(frame[0] == "shaped" for frame in _repeats)
 
 
 def test_module_test_agrees_with_startswith():
@@ -505,8 +783,8 @@ def test_partial_session_carries_formatted_contexts(clock):
 def test_capture_walks_counts_full_walks_only():
     session = ProfilerSession(clock=VirtualClock())
     loop(session)
-    # The first walk holds its second user frame, the loop's caller, and
-    # the other 19 submissions find it.
+    # The first walk holds its first user frame, the loop's own: its caller
+    # is at an instruction that runs once. The other 19 submissions find it.
     assert session.capture_walks == 1
     session.drain()
     off = ProfilerSession(clock=VirtualClock(), emit_events=False)
@@ -565,8 +843,9 @@ def _site(pool, refs):
 
 
 def test_returned_frames_are_not_held():
-    """Each call of a site is a new frame that the capture holds; the next
-    full walk that does not see it lets it go, with its locals."""
+    """Each call of a site is a new frame that submits once, through a
+    helper that does not loop either, so no capture holds it: its locals
+    go as it returns."""
     session = ProfilerSession(clock=VirtualClock())
     pool = session.pool_executor(core_size=1, max_size=1)
     refs = []
@@ -575,6 +854,28 @@ def test_returned_frames_are_not_held():
     pool.submit(_task("elsewhere"))
     assert [ref() for ref in refs] == [None] * 6
     session.drain()
+
+
+def _chain(k, pool, refs):
+    if k:
+        return _chain(k - 1, pool, refs)
+    local = _Local()
+    refs.append(weakref.ref(local))
+    _submit(pool, _task("chain"))
+
+
+def test_straight_line_site_holds_nothing():
+    """A site at the bottom of a 40-frame chain, where no frame loops:
+    nothing is held, and the site's locals die as it returns, before any
+    other capture could let them go."""
+    session = OracleSession(clock=VirtualClock())
+    pool = session.pool_executor(core_size=1, max_size=1)
+    refs = []
+    _chain(40, pool, refs)
+    assert refs[0]() is None
+    assert session.oracle.held == 0 and session.capture_walks == 1
+    session.drain()
+    assert session.oracle.mismatches == []
 
 
 def test_a_second_drain_gives_the_same_contexts():
