@@ -1,0 +1,79 @@
+#!/usr/bin/env python3
+"""Compare two checkouts on one perfbench workload in alternating pairs.
+
+Runs ``perfbench/run.py --workload W --seed K --seconds S --trace 0`` in
+PARENT_DIR and then in CHANGE_DIR, N times over, and prints for each
+end-to-end metric the parent's median and interquartile range, the
+change's median, their ratio, and in how many pairs the change read
+lower::
+
+    python3 scripts/bench_pairs.py ../parent . --workload deep_mixed --pairs 10 --seconds 30
+
+A run whose last line is not a JSON object with ``"correct": true`` stops
+the comparison with a non-zero exit.
+"""
+
+import argparse
+import json
+import subprocess
+import sys
+from statistics import median, quantiles
+
+
+def run_once(checkout: str, workload: str, seconds: float, seed: int) -> dict:
+    """One perfbench run in ``checkout``: its metrics, name -> value."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True,
+    )
+    lines = proc.stdout.splitlines()
+    try:
+        last = json.loads(lines[-1])
+    except (IndexError, ValueError):
+        last = None
+    if proc.returncode != 0 or not isinstance(last, dict) or last.get("correct") is not True:
+        sys.exit(f"perfbench {workload} in {checkout} exited {proc.returncode} "
+                 f"without \"correct\": true; no comparison made\n"
+                 f"{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
+    return {name: m["value"] for name, m in last["metrics"].items()}
+
+
+def compare(parent: list[dict], change: list[dict]) -> list[str]:
+    """One line per metric, for runs paired by index."""
+    lines = [f"{'metric':<24} {'parent':>10} {'IQR':>8} {'change':>10} "
+             f"{'ratio':>7} {'lower':>6}"]
+    for name in parent[0]:
+        a = [run[name] for run in parent]
+        b = [run[name] for run in change]
+        q1, _, q3 = quantiles(a, n=4) if len(a) > 1 else (a[0],) * 3
+        mid_a, mid_b = median(a), median(b)
+        ratio = mid_b / mid_a if mid_a else float("nan")
+        lower = sum(y < x for x, y in zip(a, b))
+        lines.append(f"{name:<24} {mid_a:>10.3f} {q3 - q1:>8.3f} {mid_b:>10.3f} "
+                     f"{ratio:>7.3f} {lower:>3}/{len(a)}")
+    return lines
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("parent_dir")
+    parser.add_argument("change_dir")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args(argv)
+
+    parent, change = [], []
+    for i in range(args.pairs):
+        parent.append(run_once(args.parent_dir, args.workload, args.seconds, args.seed))
+        change.append(run_once(args.change_dir, args.workload, args.seconds, args.seed))
+        print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr, flush=True)
+    print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s, "
+          "parent first in each")
+    print("\n".join(compare(parent, change)))
+
+
+if __name__ == "__main__":
+    main()

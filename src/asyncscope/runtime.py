@@ -199,10 +199,30 @@ class _Capture:
     keeps the code objects walked for it, so that no id in a live key can
     be reused; a new stack takes the blank context in one ``setdefault``,
     which hashes the key once and no code object.
+
+    A full walk made inside the virtual engine's dispatch loop, once an
+    action of that loop has walked, also skips what cannot have changed.
+    Every timed action and task body runs above the loop's frame, so the
+    frames below it stand still: the engine hands that frame to
+    ``enter_dispatch``, which walks down from it once and keeps the frame,
+    the raw tuples and codes of the user frames below it and the first two
+    of those frames, and takes it back with ``leave_dispatch``. Each later
+    full walk stops at the loop's frame, or at the kept frame its first
+    two user frames reached, and appends the rest of the tail, cut to
+    ``DEFAULT_CAPTURE_DEPTH``; it reads a frame's module name and tests it
+    only when the frame's globals are not the previous frame's. Any other
+    walk tests every frame in a loop that checks nothing else, as the
+    frames of short sessions change module every frame or two. The split
+    is for the cache: a step that a capture runs only now and then costs
+    a session's first captures, its slowest, far more than the same step
+    in the walk every capture runs, so the walk outside a loop gains one
+    test, and keeping a tail is left to the engine, between actions. A
+    spliced walk still counts in ``walks``.
     """
 
     def __init__(self) -> None:
         self._held = (None, None)
+        self._tail = None
         self.walks = 0
         self._contexts: dict[tuple, tuple[ExecutionContext, list]] = {}
         self._blank = _blank_context()
@@ -230,13 +250,37 @@ class _Capture:
                 last = f
             f = f.f_back
         self.walks += 1
-        while f is not None and len(codes) < depth:
-            module = f.f_globals.get("__name__", "?")
-            if not _is_internal[module]:
-                code = f.f_code
-                codes.append(code)
-                raw.append((module, id(code), f.f_lasti))
-            f = f.f_back
+        tail = self._tail
+        if tail is None:  # outside a dispatch loop
+            while f is not None and len(codes) < depth:
+                module = f.f_globals.get("__name__", "?")
+                if not _is_internal[module]:
+                    code = f.f_code
+                    codes.append(code)
+                    raw.append((module, id(code), f.f_lasti))
+                f = f.f_back
+        else:
+            stop, tail, tail_codes, below = tail
+            if last in below:  # the first two user frames reach below it
+                start = below.index(last) + 1
+            else:
+                start, names = 0, None
+                try:
+                    while f is not stop and len(codes) < depth:
+                        if f.f_globals is not names:  # a new run of one module
+                            names = f.f_globals
+                            module = names.get("__name__", "?")
+                            internal = _is_internal[module]
+                        if not internal:
+                            code = f.f_code
+                            codes.append(code)
+                            raw.append((module, id(code), f.f_lasti))
+                        f = f.f_back
+                except AttributeError:  # f is None: another thread's stack, say
+                    start = len(tail)
+            end = start + depth - len(codes)
+            raw += tail[start:end]
+            codes += tail_codes[start:end]
         raw = tuple(raw)
         blank = self._blank
         context = self._contexts.setdefault(raw, (blank, codes))[0]
@@ -266,11 +310,36 @@ class _Capture:
         self._held = (None, None)
         return context
 
+    def enter_dispatch(self, loop) -> tuple | None:
+        """Keep ``loop``, the frame of a dispatch loop that runs every
+        capture still to come above it, with the raw tuples and codes of
+        the user frames below it and the first two of those frames; returns
+        what ``leave_dispatch`` restores when that loop ends."""
+        outer = self._tail
+        raw, codes, below = [], [], []
+        f = loop.f_back
+        while f is not None and len(codes) < DEFAULT_CAPTURE_DEPTH:
+            module = f.f_globals.get("__name__", "?")
+            if not _is_internal[module]:
+                code = f.f_code
+                codes.append(code)
+                raw.append((module, id(code), f.f_lasti))
+                if len(below) < 2:
+                    below.append(f)
+            f = f.f_back
+        self._tail = (loop, tuple(raw), tuple(codes), tuple(below))
+        return outer
+
+    def leave_dispatch(self, outer: tuple | None) -> None:
+        self._tail = outer
+
     def resolve(self, log: list) -> None:
         """Name and number the table's contexts' frames, as
-        ``module:symbol:line``, and let go of the held frame and the table."""
+        ``module:symbol:line``, and let go of the held frame, the kept tail
+        and the table."""
         contexts, self._contexts = self._contexts, {}
         self._held = (None, None)
+        self._tail = None
         # Each raw frame is named once a drain: stacks share their callers.
         names: dict[tuple, str] = {}
         by_frames: dict[tuple, ExecutionContext] = {}
@@ -498,8 +567,11 @@ class ProfilerSession:
     @property
     def capture_walks(self) -> int:
         """How many context captures walked the stack in full, rather than
-        returning a context held for a live frame. Not written to the
-        trace."""
+        returning a context held for a live frame. A walk made inside the
+        virtual engine's dispatch loop, once an action of the loop has
+        walked, stops at the loop's frame and appends the user frames kept
+        below it, and tests each module once per run of frames from one
+        module: it still counts as a full walk. Not written to the trace."""
         return self._capture.walks
 
     # -- thread identities ------------------------------------------------
@@ -986,10 +1058,26 @@ class _VirtualEngine:
 
     def wait_idle(self, timeout_s: float | None) -> bool:
         heap = self._heap
-        while heap:
+        capture = self._session._capture
+        walks = capture.walks
+        # A loop keeps the frames below it only once an action has walked
+        # the stack in full: a loop that never captures pays one test an
+        # action, and keeping them costs no submission.
+        while heap and capture.walks == walks:
             t_ns, _, fn = heapq.heappop(heap)
             self._clock._advance_to(t_ns)
             fn()
+        if heap:
+            # Every action runs above this frame, so the walks still to come
+            # can stop here and take what lies below it from the capture.
+            outer = capture.enter_dispatch(sys._getframe())
+            try:
+                while heap:
+                    t_ns, _, fn = heapq.heappop(heap)
+                    self._clock._advance_to(t_ns)
+                    fn()
+            finally:
+                capture.leave_dispatch(outer)
         return self._session._outstanding == 0
 
     def stop(self, busy: set) -> None:

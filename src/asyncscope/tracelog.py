@@ -149,14 +149,25 @@ def _parse_int(text: str, what: str, line_no: int, minimum: int = 0) -> int:
     return value
 
 
+def _parse_exact(text: str, what: str, line_no: int) -> int:
+    """``_parse_int`` for a field read once per file or per distinct
+    thread: the text must also be the ``str`` of its value, as
+    ``encode_session`` writes it, so a sign, a space, an underscore, a
+    leading zero or a non-ASCII digit is refused."""
+    value = _parse_int(text, what, line_no)
+    if str(value) != text:
+        raise MalformedLine(f"{what} must be written {value}, got {text!r}", line_no)
+    return value
+
+
 _KINDS = {kind.value: kind for kind in EventKind}
 _MECHANISMS = {mech.value: mech for mech in Mechanism}
 _MECHANISMS["_"] = None
 
 
 def _decode_thread(tid: str, ptid: str, is_main: str, line_no: int) -> ThreadIdentity:
-    thread_id = _parse_int(tid, "thread_id", line_no)
-    parent = None if ptid == "_" else _parse_int(ptid, "parent_thread_id", line_no)
+    thread_id = _parse_exact(tid, "thread_id", line_no)
+    parent = None if ptid == "_" else _parse_exact(ptid, "parent_thread_id", line_no)
     if is_main not in ("0", "1"):
         raise MalformedLine(f"is_main must be 0 or 1, got {is_main!r}", line_no)
     try:
@@ -288,7 +299,7 @@ def parse_trace(data: bytes) -> TraceSession:
         raise MissingHeader(f"stream does not begin with a {MAGIC}|SESSION header")
     session_id = _unescape(header[2], 1)
     config_label = _unescape(header[3], 1)
-    clock_origin_ns = _parse_int(header[4], "clock_origin_ns", 1)
+    clock_origin_ns = _parse_exact(header[4], "clock_origin_ns", 1)
     return TraceSession(
         session_id=session_id,
         config_label=config_label,

@@ -13,6 +13,7 @@ driven without a session.
 """
 
 from collections import Counter
+from functools import partial
 
 import _thread
 import dis
@@ -94,11 +95,24 @@ def user_frames(f, n):
     return frames
 
 
+def user_frames_above(f, loop):
+    """How many user frames lie from ``f`` out to the frame ``loop``, or
+    None when ``loop`` is not on this stack."""
+    n = 0
+    while f is not None and f is not loop:
+        if not f.f_globals.get("__name__", "?").startswith(_INTERNAL_MODULES):
+            n += 1
+        f = f.f_back
+    return None if f is None else n
+
+
 class _OracleCapture(_Capture):
     def __init__(self):
         super().__init__()
         self.captures = 0
         self.held = 0  # frames held, each hold counted once
+        self.spliced = 0  # full walks that ended in a kept tail
+        self.cut_in_tail = 0  # of those, the ones cut inside the tail
         self.mismatches = []
         self.returned = []  # (context, the uncached walk's triples)
         # Raw stack -> the context first returned for it, and its code
@@ -114,8 +128,16 @@ class _OracleCapture(_Capture):
         want, raw, codes = uncached_walk(sys._getframe(2), DEFAULT_CAPTURE_DEPTH)
         head = user_frames(sys._getframe(2), 2)
         before, walks = self._held[0], self.walks
+        tail = self._tail
+        above = user_frames_above(sys._getframe(2), tail and tail[0])
         got = super().context()
         self.captures += 1
+        # A full walk that reaches the dispatch loop's frame within the cut
+        # takes the kept tail from there.
+        if (self.walks > walks and tail is not None and above is not None
+                and above < DEFAULT_CAPTURE_DEPTH):
+            self.spliced += 1
+            self.cut_in_tail += above + len(tail[1]) > DEFAULT_CAPTURE_DEPTH
         self.returned.append((got, want))
         # A repeated raw stack returns the object it returned before.
         if self.by_raw.setdefault(raw, (got, codes))[0] is not got:
@@ -135,8 +157,20 @@ class _OracleCapture(_Capture):
             self.held += 1
         return got
 
+    def enter_dispatch(self, loop):
+        outer = super().enter_dispatch(loop)
+        # The tail is the loop's frame, the walk below it and the first two
+        # user frames of that walk.
+        _, below, codes = uncached_walk(loop.f_back, DEFAULT_CAPTURE_DEPTH)
+        kept = (loop, below, tuple(codes), tuple(user_frames(loop.f_back, 2)))
+        if self._tail != kept or not below:
+            self.mismatches.append(("tail", self._tail, below))
+        return outer
+
     def resolve(self, log):
         super().resolve(log)
+        if self._tail is not None:
+            self.mismatches.append(("tail kept after resolve", self._tail))
         # Each capture is logged at once, under the lock, so the log's
         # Schedules are in capture order. Each carries its walk's frames,
         # and equal frames are one object, in the log and in the trace.
@@ -418,10 +452,117 @@ def nested_loops(s):
             _submit(pool, _task(f"cell-{i}-{j}"))
 
 
+# -- captures inside the dispatch loop ---------------------------------------------
+
+# User frames above the virtual engine's dispatch loop: with a tail of a few
+# frames below the loop, the 32-frame cut falls after the tail (the stack
+# ends first), inside it, exactly at the loop's frame (32) or above it.
+DISPATCH_DEPTHS = [0, 1, *range(24, 34), 40]
+
+
+def _internal_submit():
+    """A submit helper whose frame reports an internal module: a callback
+    or task body made from it puts no user frame above the loop."""
+    namespace = {"__name__": "asyncscope.runtime_helpers"}
+    exec("def submit(pool, *token):\n    pool.submit(TASK)\n", namespace)
+    namespace["TASK"] = _task("flat")
+    return namespace["submit"]
+
+
+def _climb(k, pool, *token):
+    """Submits from ``k`` user frames: this call and its k - 1 calls."""
+    if k > 1:
+        return _climb(k - 1, pool)
+    pool.submit(_task(f"climb-{k}"))
+
+
+def _at_depth(k, pool):
+    """A callback, or a task body, that submits from ``k`` user frames."""
+    return partial(_internal_submit(), pool) if k == 0 else partial(_climb, k, pool)
+
+
+def dispatch_depths(s):
+    """Timed callbacks and task bodies that submit from every depth in
+    DISPATCH_DEPTHS above the dispatch loop, each depth twice."""
+    pool = s.pool_executor(core_size=2, max_size=2)
+    for i, k in enumerate(DISPATCH_DEPTHS * 2):
+        s.call_at(i * MS, _at_depth(k, pool))
+        pool.submit(Task("body", body=_at_depth(k, pool), synthetic_duration_ns=MS))
+
+
+def _module_chain():
+    """A climb whose frames report, in turn, a user module, an internal
+    one, a globals dict with no ``__name__`` and another user module: the
+    module changes at every frame."""
+    spaces = [{"__name__": "chain_a"}, {"__name__": "asyncscope.runtime_helpers"},
+              {}, {"__name__": "chain_b"}]
+    for space in spaces:
+        exec("def climb(k, pool, *token):\n"
+             "    if k > 1:\n"
+             "        return NEXT(k - 1, pool)\n"
+             "    pool.submit(TASK)\n", space)
+        space["TASK"] = _task("chain")
+    for space, after in zip(spaces, spaces[1:] + spaces[:1]):
+        space["NEXT"] = after["climb"]
+    return spaces[0]["climb"]
+
+
+def module_chains(s):
+    """Chains of frames from four globals in turn, submitted from outside
+    the loop, from timed callbacks and from task bodies."""
+    pool = s.pool_executor(core_size=2, max_size=2)
+    climb = _module_chain()
+    for i, k in enumerate((2, 5, 9, 30, 45) * 2):
+        climb(k, pool)
+        s.call_at(i * MS, partial(climb, k, pool))
+        pool.submit(Task("body", body=partial(climb, k, pool),
+                         synthetic_duration_ns=MS))
+
+
+def _wait_in_between(s):
+    s.wait_idle()
+
+
+# Captures in each loop of the cases below: the first runs before the loop
+# keeps its tail, and the rest take it.
+PER_LOOP = 4
+
+
+def two_loops(s):
+    """Captures in one dispatch loop run from here, and in a second one
+    run later from another caller, whose frames below it differ."""
+    pool = s.pool_executor(core_size=2, max_size=2)
+    for i in range(PER_LOOP):
+        s.call_at(i * MS, partial(_climb, 3, pool))
+    _wait_in_between(s)
+    for i in range(PER_LOOP):
+        s.call_at(s.clock.now_ns() + i * MS, partial(_climb, 3, pool))
+
+
+def _inner_loop(s, pool):
+    """A timed callback that submits, runs a dispatch loop of its own over
+    more callbacks, and submits again once that inner loop has returned."""
+    _climb(2, pool)
+    for i in range(PER_LOOP):
+        s.call_at(s.clock.now_ns() + (i + 1) * MS, partial(_climb, 4, pool))
+    s.wait_idle()
+    _climb(2, pool)
+
+
+def nested_dispatch(s):
+    """An inner loop run from a timed callback of an outer one: each keeps
+    a tail of its own, and the outer one's is back once the inner returns."""
+    pool = s.pool_executor(core_size=2, max_size=2)
+    for i in range(PER_LOOP):
+        s.call_at(i * MS, partial(_climb, 3, pool))
+    s.call_at(PER_LOOP * MS, partial(_inner_loop, s, pool))
+
+
 CASES = [loop, two_lines, helper, recursion, direct_recursion, generators,
          nested, deep, alternating, foreign, one_line_two_calls,
          one_code_two_modules, dropped_helpers, no_user_frame, while_loop,
-         retry, comprehension, looping_helper, nested_loops]
+         retry, comprehension, looping_helper, nested_loops, dispatch_depths,
+         module_chains, two_loops, nested_dispatch]
 
 
 # (full walks, captures) per case when every miss held the outer of its
@@ -436,6 +577,11 @@ WALKS = {
     "no_user_frame": (3, 3), "while_loop": (1, 20), "retry": (1, 18),
     "comprehension": (1, 20), "looping_helper": (1, 20),
     "nested_loops": (1, 20),
+    # Captures whose first two user frames can lie below the dispatch loop,
+    # in the test runner's frames: bounded only by one walk each.
+    "dispatch_depths": (78, 78), "module_chains": (40, 40),
+    "two_loops": (2 * PER_LOOP, 2 * PER_LOOP),
+    "nested_dispatch": (2 * PER_LOOP + 2, 2 * PER_LOOP + 2),
 }
 
 
@@ -451,6 +597,215 @@ def test_capture_equals_uncached_walk(case, depth):
     assert session.oracle.mismatches == []
     assert all(len(context.frames) <= depth
                for context, _ in session.oracle.returned)
+
+
+def _on_a_new_thread(fn, *args):
+    """``fn(*args)`` on a new thread, whose stack below ``fn`` is a few
+    frames: the tail of a dispatch loop run there ends well inside the
+    32-frame cut, so a capture's cut can fall after the tail, inside it or
+    above the loop's frame. Returns what ``fn`` returns, or raises what it
+    raised."""
+    out = []
+
+    def run():
+        try:
+            out.append((True, fn(*args)))
+        except BaseException as exc:  # handed back to the caller's thread
+            out.append((False, exc))
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=60)
+    ok, value = out[0]
+    if not ok:
+        raise value
+    return value
+
+
+def _run_and_drain(case):
+    session = OracleSession(clock=VirtualClock())
+    case(session)
+    session.drain()
+    return session
+
+
+DISPATCH_CASES = [dispatch_depths, module_chains, two_loops, nested_dispatch]
+
+
+@pytest.mark.parametrize("case", DISPATCH_CASES, ids=[c.__name__ for c in DISPATCH_CASES])
+def test_dispatch_tail_on_a_short_stack(case):
+    """Drained on a thread of its own, each dispatch loop keeps a short
+    tail, and captures above it take it: contexts, held frames and kept
+    tails all agree with the uncached walk."""
+    session = _on_a_new_thread(_run_and_drain, case)
+    assert session.oracle.mismatches == []
+    assert session.oracle.spliced > 0
+    assert session.capture_walks <= WALKS[case.__name__][0]
+    assert session._capture._tail is None
+
+
+def test_dispatch_cut_falls_before_on_and_inside_the_tail():
+    """The depths above the loop put the 32-frame cut inside the kept
+    tail, on its last frame, and above the loop's frame."""
+    session = _on_a_new_thread(_run_and_drain, dispatch_depths)
+    oracle = session.oracle
+    assert oracle.mismatches == []
+    assert 0 < oracle.cut_in_tail < oracle.spliced
+    lengths = {len(context.frames) for context, _ in oracle.returned}
+    assert DEFAULT_CAPTURE_DEPTH in lengths and min(lengths) < 10
+
+
+def _submit_then_time_out(session):
+    dispatch_depths(session)
+    session.spawn_thread(Task("forever", synthetic_duration_ns=None))
+    with pytest.raises(DrainTimeout) as first:
+        session.drain(timeout_s=1.0)
+    return session, first.value.session
+
+
+def test_second_drain_after_a_timeout_in_dispatch():
+    """A drain that times out lets go of its loop's frame and tail; a
+    second drain gives the same events, with the contexts the oracle
+    checked."""
+    session, first = _on_a_new_thread(_submit_then_time_out, OracleSession(
+        clock=VirtualClock()))
+    assert session.oracle.mismatches == [] and session.oracle.spliced > 0
+    assert session._capture._tail is None
+    with pytest.raises(DrainTimeout) as second:
+        session.drain(timeout_s=1.0)
+    assert all(a is b for a, b in zip(first.events, second.value.session.events,
+                                      strict=True))
+    assert session.oracle.mismatches == []
+
+
+class _Interrupt(BaseException):
+    """Leaves the dispatch loop from a timed action, as KeyboardInterrupt
+    would: ``_call_as`` reports an ``Exception`` but lets this through."""
+
+
+def _interrupt():
+    raise _Interrupt
+
+
+def _interrupted_then_resumed(session):
+    pool = session.pool_executor(core_size=1, max_size=1)
+    for i in range(2 * PER_LOOP):
+        session.call_at(i * MS, partial(_climb, 3, pool))
+    session.call_at((PER_LOOP - 1) * MS + 1, _interrupt)
+    with pytest.raises(_Interrupt):
+        session.wait_idle()
+    left = session._capture._tail
+    _wait_in_between(session)
+    session.drain()
+    return left
+
+
+def test_a_loop_left_by_an_exception_lets_go_of_its_frame():
+    """A loop that an exception leaves gives back its frame and tail; the
+    loop that runs the rest of the actions, from another caller, keeps a
+    tail of its own below its own frame."""
+    session = OracleSession(clock=VirtualClock())
+    left = _on_a_new_thread(_interrupted_then_resumed, session)
+    assert left is None
+    assert session.oracle.mismatches == []
+    # In each loop, every capture after the first.
+    assert session.oracle.spliced == 2 * (PER_LOOP - 1)
+
+
+def _drain_from_a_callback(session):
+    pool = session.pool_executor(core_size=1, max_size=1)
+    kept = []
+
+    def drain_here():
+        kept.append(session._capture._tail)
+        session.drain()
+        kept.append(session._capture._tail)
+
+    for i in range(PER_LOOP):
+        session.call_at(i * MS, partial(_climb, 3, pool))
+    session.call_at(PER_LOOP * MS, drain_here)
+    session.wait_idle()
+    return kept
+
+
+def test_drain_inside_the_loop_drops_the_tail():
+    """Resolve lets go of the kept tail even while the loop that kept it
+    still runs."""
+    before, after = _on_a_new_thread(_drain_from_a_callback,
+                                     OracleSession(clock=VirtualClock()))
+    assert before and after is None
+
+
+def _tails_around_each_capture(session):
+    pool = session.pool_executor(core_size=1, max_size=1)
+    seen = []
+    for i in range(3):
+        session.call_at(i * MS, lambda: seen.append(session._capture._tail))
+        session.call_at(i * MS + 1, partial(_climb, 3, pool))
+    session.call_at(3 * MS, lambda: seen.append(session._capture._tail))
+    session.wait_idle()
+    session.drain()
+    return seen
+
+
+def test_a_loop_keeps_its_tail_once_an_action_has_walked():
+    """No tail is kept before the loop's first full walk; once the action
+    that made it returns, the loop keeps its tail, and every later walk
+    appends that same tail."""
+    session = OracleSession(clock=VirtualClock())
+    before, *after = _on_a_new_thread(_tails_around_each_capture, session)
+    assert before is None
+    assert after[0] is not None and all(tail is after[0] for tail in after)
+    assert session.oracle.spliced == 2 and session.oracle.mismatches == []
+
+
+def test_an_inner_loop_gives_back_the_outer_tail():
+    session = OracleSession(clock=VirtualClock())
+    pool = session.pool_executor(core_size=1, max_size=1)
+    seen = []
+
+    def inner_loop():
+        seen.append(session._capture._tail)
+        for i in range(2):
+            session.call_at(session.clock.now_ns() + (i + 1) * MS,
+                            partial(_climb, 2, pool))
+        session.wait_idle()
+        seen.append(session._capture._tail)
+        _climb(2, pool)
+
+    session.call_at(0, partial(_climb, 3, pool))
+    session.call_at(MS, inner_loop)
+    session.wait_idle()
+    session.drain()
+    outer, back = seen
+    assert outer is not None and back is outer
+    assert session.oracle.spliced == 3 and session.oracle.mismatches == []
+
+
+def _from_another_thread(s):
+    """Captures in a loop that keeps its tail, one of them from a thread
+    that a timed callback starts and joins: that thread's stack does not
+    pass the loop's frame."""
+    pool = s.pool_executor(core_size=1, max_size=1)
+
+    def on_a_thread():
+        thread = threading.Thread(target=_climb, args=(3, pool))
+        thread.start()
+        thread.join()
+
+    for i in range(3):
+        s.call_at(i * MS, partial(_climb, 2, pool))
+    s.call_at(3 * MS, on_a_thread)
+    s.call_at(4 * MS, partial(_climb, 2, pool))
+
+
+def test_a_walk_that_misses_the_loops_frame_goes_to_its_end():
+    session = OracleSession(clock=VirtualClock())
+    _from_another_thread(session)
+    session.drain()
+    assert session.oracle.captures == session.capture_walks == 5
+    assert session.oracle.spliced == 3  # the loop's own, after its first
+    assert session.oracle.mismatches == []
 
 
 def test_one_code_under_two_modules_gives_two_contexts():
@@ -876,6 +1231,39 @@ def test_straight_line_site_holds_nothing():
     assert session.oracle.held == 0 and session.capture_walks == 1
     session.drain()
     assert session.oracle.mismatches == []
+
+
+def _wait_with_a_local(session, pool, kept):
+    """Runs the dispatch loop from a frame that holds a local, with
+    captures at several depths above the loop, and returns a weak
+    reference to that local; notes in ``kept`` whether the loop had kept
+    its tail by its end."""
+    local = _Local()
+    ref = weakref.ref(local)
+    for i in range(PER_LOOP):
+        session.call_at(i * MS, _at_depth((0, 1, 3, 30)[i % 4], pool))
+    session.call_at(PER_LOOP * MS,
+                    lambda: kept.append(session._capture._tail is not None))
+    session.wait_idle()
+    return ref
+
+
+def test_dispatch_frame_is_let_go():
+    """Once the loop returns, the unit holds neither its frame nor any
+    frame below it: the local of the function that ran the loop dies as
+    that function returns, with no collection."""
+    session = ProfilerSession(clock=VirtualClock())
+    pool = session.pool_executor(core_size=1, max_size=1)
+    kept = []
+    gc.disable()
+    try:
+        ref = _wait_with_a_local(session, pool, kept)
+        assert ref() is None
+    finally:
+        gc.enable()
+    assert kept == [True]  # the loop had kept its tail
+    assert session.capture_walks == PER_LOOP
+    session.drain()
 
 
 def test_a_second_drain_gives_the_same_contexts():

@@ -2,6 +2,7 @@
 
 import ast
 import importlib.util
+import json
 import os
 import pathlib
 import subprocess
@@ -31,6 +32,48 @@ def test_bench_snapshot_refuses_a_failed_perfbench_run(monkeypatch):
     with pytest.raises(SystemExit) as exc_info:
         snapshot.run_workload("live_pool")
     assert "live_pool exited 1" in str(exc_info.value.code)
+
+
+def test_bench_pairs_alternates_and_compares(monkeypatch, capsys):
+    pairs = _load("bench_pairs")
+    calls = []
+
+    def fake_run(args, cwd, **kwargs):
+        calls.append(cwd)
+        n = len(calls)
+        p50 = 10.0 + n if cwd == "parent" else 8.0 + n  # the change reads lower
+        line = json.dumps({"correct": True, "metrics": {
+            "submit_us_p50": {"value": p50, "unit": "us"},
+            "trace_bytes_per_task": {"value": 200.0, "unit": "B"}}})
+        return subprocess.CompletedProcess(args, 0, stdout=f"env: {{}}\n{line}\n",
+                                           stderr="")
+
+    monkeypatch.setattr(pairs.subprocess, "run", fake_run)
+    pairs.main(["parent", "change", "--workload", "deep_mixed", "--pairs", "3",
+                "--seconds", "1"])
+    assert calls == ["parent", "change"] * 3
+    rows = {line.split()[0]: line.split()[1:] for line in capsys.readouterr().out.splitlines()}
+    # Parent 11, 13, 15 (quartiles 11 and 15); change one less in each pair.
+    assert rows["submit_us_p50"] == ["13.000", "4.000", "12.000", "0.923", "3/3"]
+    assert rows["trace_bytes_per_task"][-1] == "0/3"
+
+
+@pytest.mark.parametrize("stdout, code", [
+    ('{"correct": false, "metrics": {}}\n', 1),
+    ('{"correct": false, "metrics": {}}\n', 0),
+    ("Traceback (most recent call last):\n", 1),
+    ("", 0),
+])
+def test_bench_pairs_refuses_a_run_that_is_not_correct(monkeypatch, stdout, code):
+    pairs = _load("bench_pairs")
+
+    def failed_run(args, **kwargs):
+        return subprocess.CompletedProcess(args, code, stdout=stdout, stderr="")
+
+    monkeypatch.setattr(pairs.subprocess, "run", failed_run)
+    with pytest.raises(SystemExit) as exc_info:
+        pairs.main(["p", "c", "--workload", "live_pool", "--pairs", "2", "--seconds", "1"])
+    assert "perfbench live_pool in p exited" in str(exc_info.value.code)
 
 
 def test_overhead_bench_smoke(tmp_path):

@@ -333,7 +333,21 @@ _PARSE_OUTCOMES = {
     (11, "%"): (MalformedLine, "truncated escape near ''"),
     (11, "%+f"): (MalformedLine, "bad escape %'+f'"),
     (11, _BIG): None,
+    # Spellings of a number that int() reads and encode_session never
+    # writes: each thread field refuses them, naming the one it writes.
+    (7, "+1"): (MalformedLine, "thread_id must be written 1, got '+1'"),
+    (7, " 1"): (MalformedLine, "thread_id must be written 1, got ' 1'"),
+    (7, "1_0"): (MalformedLine, "thread_id must be written 10, got '1_0'"),
+    (7, "\u0662"): (MalformedLine, "thread_id must be written 2, got '\u0662'"),
+    (7, "007"): (MalformedLine, "thread_id must be written 7, got '007'"),
+    (8, "+1"): (MalformedLine, "parent_thread_id must be written 1, got '+1'"),
+    (8, " 1"): (MalformedLine, "parent_thread_id must be written 1, got ' 1'"),
+    (8, "1_0"): (MalformedLine, "parent_thread_id must be written 10, got '1_0'"),
+    (8, "\u0662"): (MalformedLine,
+                    "parent_thread_id must be written 2, got '\u0662'"),
+    (8, "007"): (MalformedLine, "parent_thread_id must be written 7, got '007'"),
 }
+_SPELLINGS = ("+1", " 1", "1_0", "\u0662", "007")
 # Where a line's own role changes the outcome: a seq above every later
 # one fails at the next line, a Spawn (line 4) carries no task key, and
 # a parent id is refused only for the main thread (lines 3, 5 and 8).
@@ -373,6 +387,23 @@ def test_every_bad_event_field_keeps_its_outcome(line_no, field):
         assert type(exc_info.value) is error, value
         assert exc_info.value.line_no == at, value
         assert str(exc_info.value) == f"line {at}: {message}"
+
+
+@pytest.mark.parametrize("line_no", range(3, 9))
+@pytest.mark.parametrize("field", [7, 8])
+def test_thread_fields_take_only_what_encode_writes(line_no, field):
+    """A thread id written any other way than ``str`` of its value fails
+    at its line, whether the thread was seen before or not; the main
+    thread's parent (lines 3, 5 and 8) is refused for its spelling first."""
+    for value in _SPELLINGS:
+        _assert_mutation_fails(line_no, field, value, *_PARSE_OUTCOMES[field, value])
+
+
+@pytest.mark.parametrize("value", _SPELLINGS + ("-0",))
+def test_clock_origin_takes_only_what_encode_writes(value):
+    number = int(value)
+    _assert_mutation_fails(1, 4, value, MalformedLine,
+                           f"clock_origin_ns must be written {number}, got {value!r}")
 
 
 @pytest.mark.parametrize("line_no, field, value, error, message", [
