@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
-"""Compare two checkouts on one perfbench workload in alternating pairs.
+"""Compare two checkouts on perfbench workloads in alternating pairs.
 
 Runs ``perfbench/run.py --workload W --seed K --seconds S --trace 0`` in
 PARENT_DIR and then in CHANGE_DIR, N times over, and prints for each
 end-to-end metric the parent's median and interquartile range, the
 change's median, their ratio, and in how many pairs the change read
-lower::
+lower. Without ``--workload`` it does so for every workload that this
+checkout's ``BENCHMARK.json`` lists, one after another, and prints one
+table for each::
 
     python3 scripts/bench_pairs.py ../parent . --workload deep_mixed --pairs 10 --seconds 30
+    python3 scripts/bench_pairs.py ../parent . --pairs 5 --seconds 30
 
 A run whose last line is not a JSON object with ``"correct": true`` stops
 the comparison with a non-zero exit.
@@ -15,9 +18,18 @@ the comparison with a non-zero exit.
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 from statistics import median, quantiles
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def benchmark_workloads() -> list[str]:
+    """The workload names that this checkout's BENCHMARK.json lists."""
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        return [workload["name"] for workload in json.load(f)["workloads"]]
 
 
 def run_once(checkout: str, workload: str, seconds: float, seed: int) -> dict:
@@ -59,20 +71,26 @@ def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent_dir")
     parser.add_argument("change_dir")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload",
+                        help="one workload (default: every one in BENCHMARK.json)")
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
 
-    parent, change = [], []
-    for i in range(args.pairs):
-        parent.append(run_once(args.parent_dir, args.workload, args.seconds, args.seed))
-        change.append(run_once(args.change_dir, args.workload, args.seconds, args.seed))
-        print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr, flush=True)
-    print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s, "
-          "parent first in each")
-    print("\n".join(compare(parent, change)))
+    workloads = [args.workload] if args.workload else benchmark_workloads()
+    for n, workload in enumerate(workloads):
+        parent, change = [], []
+        for i in range(args.pairs):
+            parent.append(run_once(args.parent_dir, workload, args.seconds, args.seed))
+            change.append(run_once(args.change_dir, workload, args.seconds, args.seed))
+            print(f"{workload}: pair {i + 1}/{args.pairs} done", file=sys.stderr,
+                  flush=True)
+        if n:
+            print()
+        print(f"{workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s, "
+              "parent first in each")
+        print("\n".join(compare(parent, change)), flush=True)
 
 
 if __name__ == "__main__":

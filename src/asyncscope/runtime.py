@@ -1,7 +1,9 @@
 """Instrumented asynchronous execution runtime.
 
 Every submission path emits a Schedule event carrying the caller's
-captured stack; execution emits Start/End (or Cancel) on the worker.
+captured stack, down to the engine frame that ran the caller, so that a
+site has one context on either engine; execution emits Start/End (or
+Cancel) on the worker.
 Each threading style's policy is written once and runs on one of two
 engines. Under a virtual clock a single-threaded discrete-event
 scheduler drives execution, so traces are byte-identical across runs;
@@ -48,18 +50,21 @@ DEFAULT_KEEP_ALIVE_NS = 10_000_000  # 10 virtual ms
 _STOP_JOIN_S = 1.0  # how long drain waits, in all, for idle workers to end
 _STUCK_KEYS_SHOWN = 3  # stuck task keys a DrainTimeout message names
 
-# Modules whose frames are instrumentation plumbing, not user context.
+# Modules whose frames are instrumentation plumbing, not user context: by
+# prefix, and the module named exactly ``threading``, whose frames run a
+# real worker below its engine loop.
 _INTERNAL_MODULES = ("asyncscope.runtime", "asyncscope.clock")
 
 
 class _InternalTest(dict):
-    """Module name -> whether it starts with one of _INTERNAL_MODULES,
-    computed on first sight: a dict lookup is cheaper than ``startswith``
-    with a tuple of prefixes. A pure function of the name, so one table
-    serves every session and thread."""
+    """Module name -> whether it starts with one of _INTERNAL_MODULES or is
+    ``threading``, computed on first sight: a dict lookup is cheaper than
+    ``startswith`` with a tuple of prefixes. A pure function of the name,
+    so one table serves every session and thread."""
 
     def __missing__(self, module: str) -> bool:
-        internal = self[module] = module.startswith(_INTERNAL_MODULES)
+        internal = self[module] = (module.startswith(_INTERNAL_MODULES)
+                                   or module == "threading")
         return internal
 
 
@@ -176,111 +181,100 @@ _blank_context = partial(object.__new__, ExecutionContext)
 
 
 class _Capture:
-    """A session's context capture. The submission path reads no symbol
-    and no line number, and formats nothing: drain's ``resolve`` names and
+    """A session's context capture. The submission path reads no symbol and
+    no line number, and formats nothing: drain's ``resolve`` names and
     numbers each context's frames. While a plain function frame runs, its
     callers and where they are cannot change, so the contexts captured
     below it are a function of the raw tuples walked down to it. The unit
     holds at most one frame, by a strong reference so that its identity
     cannot be reused, with the contexts captured below it. A walk whose
     first or second user frame is the held frame returns the context its
-    raw tuples down to that frame gave before. Any other walk goes to the
-    end and is counted in ``walks``; it adds its context to the held
-    frame's when that frame was among its first two user frames. Otherwise
-    it holds the outer of its first two user frames if the instruction
-    that frame is at can run again in the same call, else the inner one
-    under the same test, else nothing. No hit is lost: a later walk meets
-    the outer frame with the same raw tuples only if its instruction runs
-    again, or if the inner frame is the same looping call, and then the
-    inner frame is held and each capture of that loop hits at its first
-    user frame. A frame that no capture can meet again is not pinned, so
-    its call chain is not copied out as it returns and freed inside a later
-    submission. The table gives each distinct raw stack one context, and
-    keeps the code objects walked for it, so that no id in a live key can
-    be reused; a new stack takes the blank context in one ``setdefault``,
-    which hashes the key once and no code object.
+    raw tuples down to that frame gave before. Any other walk goes on to
+    its end, as below, and is counted in ``walks``; it adds its context to
+    the held frame's when that frame was among its first two user frames.
+    Otherwise it holds the outer of its first two user frames if the
+    instruction that frame is at can run again in the same call, else the
+    inner one under the same test, else nothing. No hit is lost: a later
+    walk meets the outer frame with the same raw tuples only if its
+    instruction runs again, or if the inner frame is the same looping call,
+    and then the inner frame is held and each capture of that loop hits at
+    its first user frame. A frame that no capture can meet again is not
+    pinned, so its call chain is not copied out as it returns and freed
+    inside a later submission. The table gives each distinct raw stack one
+    context, and keeps the code objects walked for it, so that no id in a
+    live key can be reused; a new stack takes the blank context in one
+    ``setdefault``, which hashes the key once and no code object.
 
-    A full walk made inside the virtual engine's dispatch loop, once an
-    action of that loop has walked, also skips what cannot have changed.
-    Every timed action and task body runs above the loop's frame, so the
-    frames below it stand still: the engine hands that frame to
-    ``enter_dispatch``, which walks down from it once and keeps the frame,
-    the raw tuples and codes of the user frames below it and the first two
-    of those frames, and takes it back with ``leave_dispatch``. Each later
-    full walk stops at the loop's frame, or at the kept frame its first
-    two user frames reached, and appends the rest of the tail, cut to
-    ``DEFAULT_CAPTURE_DEPTH``; it reads a frame's module name and tests it
-    only when the frame's globals are not the previous frame's. Any other
-    walk tests every frame in a loop that checks nothing else, as the
-    frames of short sessions change module every frame or two. The split
-    is for the cache: a step that a capture runs only now and then costs
-    a session's first captures, its slowest, far more than the same step
-    in the walk every capture runs, so the walk outside a loop gains one
-    test, and keeping a tail is left to the engine, between actions. A
-    spliced walk still counts in ``walks``.
+    A capture walks its own thread's stack and stops at the engine frame
+    that ran it: ``stop``, the frame of the virtual engine's running
+    dispatch loop, which the engine sets while its loop runs, or None. The
+    frames below that loop belong to whoever waited, not to the action or
+    task body that submitted, as an Android handler's context ends at its
+    Looper's loop; a real worker's stack ends at its engine loop, as
+    ``threading``'s frames are internal. A thread whose stack does not hold
+    ``stop`` walks to its end. Outside a loop the walk tests every frame's
+    module in a loop that checks nothing else, as the frames of short
+    sessions change module every frame or two; inside one, where recursive
+    site chains run many frames of one module, it reads a frame's module
+    name and tests it only when the frame's globals are not the previous
+    frame's.
     """
 
     def __init__(self) -> None:
         self._held = (None, None)
-        self._tail = None
+        self.stop = None
         self.walks = 0
         self._contexts: dict[tuple, tuple[ExecutionContext, list]] = {}
         self._blank = _blank_context()
 
     def context(self) -> ExecutionContext:
         """The context of its caller's caller's raw stack, innermost first,
-        a ``(module, id(code), f_lasti)`` tuple for each user frame. Called
-        by ``_register_task``, with the session's lock held."""
+        a ``(module, id(code), f_lasti)`` tuple for each user frame down to
+        ``stop``. Called by ``_register_task``, with the session's lock
+        held."""
         depth = DEFAULT_CAPTURE_DEPTH
         held, known = self._held
+        stop = self.stop
         raw, codes = [], []
         key = last = None
         f = sys._getframe(2)
-        while f is not None and len(codes) < 2:
-            module = f.f_globals.get("__name__", "?")
-            if not _is_internal[module]:
-                code = f.f_code
-                codes.append(code)
-                raw.append((module, id(code), f.f_lasti))
-                if f is held:
-                    key = tuple(raw)
-                    context = known.get(key)
-                    if context is not None:
-                        return context
-                last = f
-            f = f.f_back
-        self.walks += 1
-        tail = self._tail
-        if tail is None:  # outside a dispatch loop
-            while f is not None and len(codes) < depth:
+        try:
+            while f is not stop and len(codes) < 2:
                 module = f.f_globals.get("__name__", "?")
                 if not _is_internal[module]:
                     code = f.f_code
                     codes.append(code)
                     raw.append((module, id(code), f.f_lasti))
+                    if f is held:
+                        key = tuple(raw)
+                        context = known.get(key)
+                        if context is not None:
+                            return context
+                    last = f
                 f = f.f_back
-        else:
-            stop, tail, tail_codes, below = tail
-            if last in below:  # the first two user frames reach below it
-                start = below.index(last) + 1
+            if stop is None:  # outside a dispatch loop
+                while f is not None and len(codes) < depth:
+                    module = f.f_globals.get("__name__", "?")
+                    if not _is_internal[module]:
+                        code = f.f_code
+                        codes.append(code)
+                        raw.append((module, id(code), f.f_lasti))
+                    f = f.f_back
             else:
-                start, names = 0, None
-                try:
-                    while f is not stop and len(codes) < depth:
-                        if f.f_globals is not names:  # a new run of one module
-                            names = f.f_globals
-                            module = names.get("__name__", "?")
-                            internal = _is_internal[module]
-                        if not internal:
-                            code = f.f_code
-                            codes.append(code)
-                            raw.append((module, id(code), f.f_lasti))
-                        f = f.f_back
-                except AttributeError:  # f is None: another thread's stack, say
-                    start = len(tail)
-            end = start + depth - len(codes)
-            raw += tail[start:end]
-            codes += tail_codes[start:end]
+                names = None
+                while f is not stop and len(codes) < depth:
+                    if f.f_globals is not names:  # a new run of one module
+                        names = f.f_globals
+                        module = names.get("__name__", "?")
+                        internal = _is_internal[module]
+                    if not internal:
+                        code = f.f_code
+                        codes.append(code)
+                        raw.append((module, id(code), f.f_lasti))
+                    f = f.f_back
+        except AttributeError:  # f is None: stop is not on this thread's stack
+            pass
+        self.walks += 1
         raw = tuple(raw)
         blank = self._blank
         context = self._contexts.setdefault(raw, (blank, codes))[0]
@@ -310,36 +304,11 @@ class _Capture:
         self._held = (None, None)
         return context
 
-    def enter_dispatch(self, loop) -> tuple | None:
-        """Keep ``loop``, the frame of a dispatch loop that runs every
-        capture still to come above it, with the raw tuples and codes of
-        the user frames below it and the first two of those frames; returns
-        what ``leave_dispatch`` restores when that loop ends."""
-        outer = self._tail
-        raw, codes, below = [], [], []
-        f = loop.f_back
-        while f is not None and len(codes) < DEFAULT_CAPTURE_DEPTH:
-            module = f.f_globals.get("__name__", "?")
-            if not _is_internal[module]:
-                code = f.f_code
-                codes.append(code)
-                raw.append((module, id(code), f.f_lasti))
-                if len(below) < 2:
-                    below.append(f)
-            f = f.f_back
-        self._tail = (loop, tuple(raw), tuple(codes), tuple(below))
-        return outer
-
-    def leave_dispatch(self, outer: tuple | None) -> None:
-        self._tail = outer
-
     def resolve(self, log: list) -> None:
         """Name and number the table's contexts' frames, as
-        ``module:symbol:line``, and let go of the held frame, the kept tail
-        and the table."""
+        ``module:symbol:line``, and let go of the held frame and the table."""
         contexts, self._contexts = self._contexts, {}
         self._held = (None, None)
-        self._tail = None
         # Each raw frame is named once a drain: stacks share their callers.
         names: dict[tuple, str] = {}
         by_frames: dict[tuple, ExecutionContext] = {}
@@ -567,11 +536,9 @@ class ProfilerSession:
     @property
     def capture_walks(self) -> int:
         """How many context captures walked the stack in full, rather than
-        returning a context held for a live frame. A walk made inside the
-        virtual engine's dispatch loop, once an action of the loop has
-        walked, stops at the loop's frame and appends the user frames kept
-        below it, and tests each module once per run of frames from one
-        module: it still counts as a full walk. Not written to the trace."""
+        returning a context held for a live frame. A walk inside the virtual
+        engine's dispatch loop ends at the loop's frame and still counts as
+        a full walk. Not written to the trace."""
         return self._capture.walks
 
     # -- thread identities ------------------------------------------------
@@ -1059,25 +1026,15 @@ class _VirtualEngine:
     def wait_idle(self, timeout_s: float | None) -> bool:
         heap = self._heap
         capture = self._session._capture
-        walks = capture.walks
-        # A loop keeps the frames below it only once an action has walked
-        # the stack in full: a loop that never captures pays one test an
-        # action, and keeping them costs no submission.
-        while heap and capture.walks == walks:
-            t_ns, _, fn = heapq.heappop(heap)
-            self._clock._advance_to(t_ns)
-            fn()
-        if heap:
-            # Every action runs above this frame, so the walks still to come
-            # can stop here and take what lies below it from the capture.
-            outer = capture.enter_dispatch(sys._getframe())
-            try:
-                while heap:
-                    t_ns, _, fn = heapq.heappop(heap)
-                    self._clock._advance_to(t_ns)
-                    fn()
-            finally:
-                capture.leave_dispatch(outer)
+        # Every action runs above this frame: a capture made in one ends here.
+        outer, capture.stop = capture.stop, sys._getframe()
+        try:
+            while heap:
+                t_ns, _, fn = heapq.heappop(heap)
+                self._clock._advance_to(t_ns)
+                fn()
+        finally:
+            capture.stop = outer
         return self._session._outstanding == 0
 
     def stop(self, busy: set) -> None:

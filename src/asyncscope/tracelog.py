@@ -70,6 +70,8 @@ _HEX = frozenset("0123456789abcdefABCDEF")
 
 
 def _unescape(value: str, line_no: int) -> str:
+    """``value`` decoded, when it is spelled as ``_escape`` writes the
+    decoded text: a lowercase or a needless escape is refused."""
     if "%" not in value:
         return value
     parts = value.split("%")
@@ -82,7 +84,12 @@ def _unescape(value: str, line_no: int) -> str:
             raise MalformedLine(f"bad escape %{pair!r}", line_no)
         out.append(chr(int(pair, 16)))
         out.append(chunk[2:])
-    return "".join(out)
+    decoded = "".join(out)
+    written = _escape(decoded)
+    if written != value:
+        raise MalformedLine(f"escape must be written {written!r}, got {value!r}",
+                            line_no)
+    return decoded
 
 
 def encode_session(session: TraceSession) -> bytes:

@@ -7,9 +7,10 @@ the unit's context and the plain walk below from the same frame, checks
 after each full walk that the unit holds the frame the rule names, and
 checks at ``resolve`` that each Schedule carries its walk's frames;
 ``OracleSession`` is a session that installs one. The plain walk, with
-its ``startswith`` module test and its ``f_lineno`` reads, and the rule
-read from ``dis``, are the reference and live only here. The unit is also
-driven without a session.
+its ``startswith`` module test, its ``f_lineno`` reads and its stop at the
+dispatch loop's frame found by its code, and the rule read from ``dis``,
+are the reference and live only here. The unit is also driven without a
+session.
 """
 
 from collections import Counter
@@ -38,20 +39,40 @@ from asyncscope.runtime import (
     _line_tables,
     _repeat_spans,
     _repeats,
+    _VirtualEngine,
 )
 from asyncscope.trace_model import EventKind, TaskEvent
 
 MS = 1_000_000
 
 
+# The virtual engine's dispatch loop: every timed action and task body of a
+# virtual session runs above a frame of this code.
+_LOOP = _VirtualEngine.wait_idle.__code__
+
+
+def is_internal(f):
+    module = f.f_globals.get("__name__", "?")
+    return module == "threading" or module.startswith(_INTERNAL_MODULES)
+
+
+def dispatch_loop(f):
+    """The innermost frame of the dispatch loop on ``f``'s stack, or None."""
+    while f is not None and f.f_code is not _LOOP:
+        f = f.f_back
+    return f
+
+
 def uncached_walk(f, depth):
-    """The user frames from ``f`` outwards, innermost first: their
-    (module, symbol, line) triples, their raw stack of (module, id(code),
-    f_lasti) tuples, and their code objects."""
+    """The user frames from ``f`` outwards, innermost first, down to the
+    dispatch loop that runs ``f`` if there is one: their (module, symbol,
+    line) triples, their raw stack of (module, id(code), f_lasti) tuples,
+    and their code objects."""
+    loop = dispatch_loop(f)
     frames, raw, codes = [], [], []
-    while f is not None and len(frames) < depth:
-        module = f.f_globals.get("__name__", "?")
-        if not module.startswith(_INTERNAL_MODULES):
+    while f is not loop and len(frames) < depth:
+        if not is_internal(f):
+            module = f.f_globals.get("__name__", "?")
             frames.append((module, f.f_code.co_name, f.f_lineno))
             raw.append((module, id(f.f_code), f.f_lasti))
             codes.append(f.f_code)
@@ -86,24 +107,15 @@ def may_hold(frame):
 
 
 def user_frames(f, n):
-    """The first ``n`` user frames from ``f`` outwards."""
+    """The first ``n`` user frames from ``f`` outwards, down to the
+    dispatch loop that runs ``f`` if there is one."""
+    loop = dispatch_loop(f)
     frames = []
-    while f is not None and len(frames) < n:
-        if not f.f_globals.get("__name__", "?").startswith(_INTERNAL_MODULES):
+    while f is not loop and len(frames) < n:
+        if not is_internal(f):
             frames.append(f)
         f = f.f_back
     return frames
-
-
-def user_frames_above(f, loop):
-    """How many user frames lie from ``f`` out to the frame ``loop``, or
-    None when ``loop`` is not on this stack."""
-    n = 0
-    while f is not None and f is not loop:
-        if not f.f_globals.get("__name__", "?").startswith(_INTERNAL_MODULES):
-            n += 1
-        f = f.f_back
-    return None if f is None else n
 
 
 class _OracleCapture(_Capture):
@@ -111,10 +123,9 @@ class _OracleCapture(_Capture):
         super().__init__()
         self.captures = 0
         self.held = 0  # frames held, each hold counted once
-        self.spliced = 0  # full walks that ended in a kept tail
-        self.cut_in_tail = 0  # of those, the ones cut inside the tail
         self.mismatches = []
         self.returned = []  # (context, the uncached walk's triples)
+        self.in_loop = []  # per capture, whether a dispatch loop ran it
         # Raw stack -> the context first returned for it, and its code
         # objects, kept so that no id in a key here can be reused.
         self.by_raw = {}
@@ -128,17 +139,10 @@ class _OracleCapture(_Capture):
         want, raw, codes = uncached_walk(sys._getframe(2), DEFAULT_CAPTURE_DEPTH)
         head = user_frames(sys._getframe(2), 2)
         before, walks = self._held[0], self.walks
-        tail = self._tail
-        above = user_frames_above(sys._getframe(2), tail and tail[0])
         got = super().context()
         self.captures += 1
-        # A full walk that reaches the dispatch loop's frame within the cut
-        # takes the kept tail from there.
-        if (self.walks > walks and tail is not None and above is not None
-                and above < DEFAULT_CAPTURE_DEPTH):
-            self.spliced += 1
-            self.cut_in_tail += above + len(tail[1]) > DEFAULT_CAPTURE_DEPTH
         self.returned.append((got, want))
+        self.in_loop.append(dispatch_loop(sys._getframe(2)) is not None)
         # A repeated raw stack returns the object it returned before.
         if self.by_raw.setdefault(raw, (got, codes))[0] is not got:
             self.mismatches.append((got, want))
@@ -157,20 +161,8 @@ class _OracleCapture(_Capture):
             self.held += 1
         return got
 
-    def enter_dispatch(self, loop):
-        outer = super().enter_dispatch(loop)
-        # The tail is the loop's frame, the walk below it and the first two
-        # user frames of that walk.
-        _, below, codes = uncached_walk(loop.f_back, DEFAULT_CAPTURE_DEPTH)
-        kept = (loop, below, tuple(codes), tuple(user_frames(loop.f_back, 2)))
-        if self._tail != kept or not below:
-            self.mismatches.append(("tail", self._tail, below))
-        return outer
-
     def resolve(self, log):
         super().resolve(log)
-        if self._tail is not None:
-            self.mismatches.append(("tail kept after resolve", self._tail))
         # Each capture is logged at once, under the lock, so the log's
         # Schedules are in capture order. Each carries its walk's frames,
         # and equal frames are one object, in the log and in the trace.
@@ -329,7 +321,8 @@ def alternating(s):
 
 
 # Module names on either side of the internal-module test, and none at all.
-FOREIGN = ["asyncscope.runtime_helpers", "asyncscope", None]
+FOREIGN = ["asyncscope.runtime_helpers", "asyncscope", "threading",
+           "threading_utils", None]
 
 
 def _foreign_submit(module, first_line=1):
@@ -385,13 +378,17 @@ def no_user_frame(s):
     """Submissions whose stack holds no user frame: each from a bare
     thread whose one Python frame reports an internal module."""
     namespace = {"__name__": "asyncscope.runtime_helpers"}
+    # Released even when the submission raises, so that no acquire waits
+    # for a thread that has gone.
     exec("def submit(pool, task, done):\n"
-         "    pool.submit(task)\n"
-         "    done.release()\n", namespace)
+         "    try:\n"
+         "        pool.submit(task)\n"
+         "    finally:\n"
+         "        done.release()\n", namespace)
     pool = s.pool_executor(core_size=1, max_size=1)
     done = _thread.allocate_lock()
     for _ in range(3):
-        done.acquire()
+        assert done.acquire(timeout=10)
         _thread.start_new_thread(namespace["submit"],
                                  (pool, _task("nowhere"), done))
     assert done.acquire(timeout=10)
@@ -454,9 +451,9 @@ def nested_loops(s):
 
 # -- captures inside the dispatch loop ---------------------------------------------
 
-# User frames above the virtual engine's dispatch loop: with a tail of a few
-# frames below the loop, the 32-frame cut falls after the tail (the stack
-# ends first), inside it, exactly at the loop's frame (32) or above it.
+# User frames above the virtual engine's dispatch loop: a capture ends at the
+# loop's frame (below 32), the 32-frame cut falls exactly on the frame just
+# above it (32), or above that (33, 40).
 DISPATCH_DEPTHS = [0, 1, *range(24, 34), 40]
 
 
@@ -523,14 +520,14 @@ def _wait_in_between(s):
     s.wait_idle()
 
 
-# Captures in each loop of the cases below: the first runs before the loop
-# keeps its tail, and the rest take it.
+# Captures in each loop of the cases below.
 PER_LOOP = 4
 
 
 def two_loops(s):
     """Captures in one dispatch loop run from here, and in a second one
-    run later from another caller, whose frames below it differ."""
+    run later from another caller, whose frames below it differ: both
+    loops give the same context."""
     pool = s.pool_executor(core_size=2, max_size=2)
     for i in range(PER_LOOP):
         s.call_at(i * MS, partial(_climb, 3, pool))
@@ -550,8 +547,9 @@ def _inner_loop(s, pool):
 
 
 def nested_dispatch(s):
-    """An inner loop run from a timed callback of an outer one: each keeps
-    a tail of its own, and the outer one's is back once the inner returns."""
+    """An inner loop run from a timed callback of an outer one: captures
+    in it end at the inner loop's frame, and those of the outer one's
+    actions at the outer one's again once the inner returns."""
     pool = s.pool_executor(core_size=2, max_size=2)
     for i in range(PER_LOOP):
         s.call_at(i * MS, partial(_climb, 3, pool))
@@ -572,14 +570,14 @@ WALKS = {
     "loop": (1, 20), "two_lines": (2, 33), "helper": (2, 20),
     "recursion": (78, 78), "direct_recursion": (39, 39),
     "generators": (100, 100), "nested": (7, 30), "deep": (2, 20),
-    "alternating": (3, 20), "foreign": (3, 12), "one_line_two_calls": (2, 20),
+    "alternating": (3, 20), "foreign": (5, 20), "one_line_two_calls": (2, 20),
     "one_code_two_modules": (2, 10), "dropped_helpers": (8, 24),
     "no_user_frame": (3, 3), "while_loop": (1, 20), "retry": (1, 18),
     "comprehension": (1, 20), "looping_helper": (1, 20),
     "nested_loops": (1, 20),
-    # Captures whose first two user frames can lie below the dispatch loop,
-    # in the test runner's frames: bounded only by one walk each.
-    "dispatch_depths": (78, 78), "module_chains": (40, 40),
+    # Every capture that a dispatch loop runs is made from frames of their
+    # own, and ends at the loop's frame: one walk each.
+    "dispatch_depths": (53, 78), "module_chains": (40, 40),
     "two_loops": (2 * PER_LOOP, 2 * PER_LOOP),
     "nested_dispatch": (2 * PER_LOOP + 2, 2 * PER_LOOP + 2),
 }
@@ -601,10 +599,8 @@ def test_capture_equals_uncached_walk(case, depth):
 
 def _on_a_new_thread(fn, *args):
     """``fn(*args)`` on a new thread, whose stack below ``fn`` is a few
-    frames: the tail of a dispatch loop run there ends well inside the
-    32-frame cut, so a capture's cut can fall after the tail, inside it or
-    above the loop's frame. Returns what ``fn`` returns, or raises what it
-    raised."""
+    frames, not the test runner's many. Returns what ``fn`` returns, or
+    raises what it raised."""
     out = []
 
     def run():
@@ -629,30 +625,40 @@ def _run_and_drain(case):
     return session
 
 
+def _looped_frames(oracle):
+    """The frames of each capture that a dispatch loop ran, in order."""
+    return [context.frames for (context, _), looped
+            in zip(oracle.returned, oracle.in_loop) if looped]
+
+
 DISPATCH_CASES = [dispatch_depths, module_chains, two_loops, nested_dispatch]
 
 
 @pytest.mark.parametrize("case", DISPATCH_CASES, ids=[c.__name__ for c in DISPATCH_CASES])
 def test_dispatch_tail_on_a_short_stack(case):
-    """Drained on a thread of its own, each dispatch loop keeps a short
-    tail, and captures above it take it: contexts, held frames and kept
-    tails all agree with the uncached walk."""
-    session = _on_a_new_thread(_run_and_drain, case)
-    assert session.oracle.mismatches == []
-    assert session.oracle.spliced > 0
-    assert session.capture_walks <= WALKS[case.__name__][0]
-    assert session._capture._tail is None
+    """Drained on a thread of its own, whose stack below each dispatch loop
+    is short, captures above a loop end at its frame: they agree with the
+    uncached walk, and name the same frames as on the test runner's deep
+    stack. The unit names no loop once the last one returns."""
+    here = _run_and_drain(case)
+    there = _on_a_new_thread(_run_and_drain, case)
+    assert here.oracle.mismatches == there.oracle.mismatches == []
+    assert any(there.oracle.in_loop) and there.oracle.in_loop == here.oracle.in_loop
+    assert _looped_frames(there.oracle) == _looped_frames(here.oracle)
+    assert there.capture_walks <= WALKS[case.__name__][0]
+    assert there._capture.stop is None
 
 
-def test_dispatch_cut_falls_before_on_and_inside_the_tail():
-    """The depths above the loop put the 32-frame cut inside the kept
-    tail, on its last frame, and above the loop's frame."""
-    session = _on_a_new_thread(_run_and_drain, dispatch_depths)
-    oracle = session.oracle
+def test_dispatch_cut_falls_above_the_loop():
+    """A capture that a loop runs holds its user frames above the loop's
+    frame and none below it, cut at 32: the depths above the loop put the
+    cut above the loop's frame, on the frame just above it, or nowhere."""
+    oracle = _run_and_drain(dispatch_depths).oracle
     assert oracle.mismatches == []
-    assert 0 < oracle.cut_in_tail < oracle.spliced
-    lengths = {len(context.frames) for context, _ in oracle.returned}
-    assert DEFAULT_CAPTURE_DEPTH in lengths and min(lengths) < 10
+    # Each depth runs as a timed callback and as a task body, twice; a
+    # submission with no user frame above the loop is <unknown>.
+    assert Counter(map(len, _looped_frames(oracle))) == Counter(
+        max(1, min(k, DEFAULT_CAPTURE_DEPTH)) for k in DISPATCH_DEPTHS * 4)
 
 
 def _submit_then_time_out(session):
@@ -664,13 +670,12 @@ def _submit_then_time_out(session):
 
 
 def test_second_drain_after_a_timeout_in_dispatch():
-    """A drain that times out lets go of its loop's frame and tail; a
-    second drain gives the same events, with the contexts the oracle
-    checked."""
+    """A drain that times out lets go of its loop's frame; a second drain
+    gives the same events, with the contexts the oracle checked."""
     session, first = _on_a_new_thread(_submit_then_time_out, OracleSession(
         clock=VirtualClock()))
-    assert session.oracle.mismatches == [] and session.oracle.spliced > 0
-    assert session._capture._tail is None
+    assert session.oracle.mismatches == [] and any(session.oracle.in_loop)
+    assert session._capture.stop is None
     with pytest.raises(DrainTimeout) as second:
         session.drain(timeout_s=1.0)
     assert all(a is b for a, b in zip(first.events, second.value.session.events,
@@ -694,22 +699,22 @@ def _interrupted_then_resumed(session):
     session.call_at((PER_LOOP - 1) * MS + 1, _interrupt)
     with pytest.raises(_Interrupt):
         session.wait_idle()
-    left = session._capture._tail
+    left = session._capture.stop
     _wait_in_between(session)
     session.drain()
     return left
 
 
 def test_a_loop_left_by_an_exception_lets_go_of_its_frame():
-    """A loop that an exception leaves gives back its frame and tail; the
-    loop that runs the rest of the actions, from another caller, keeps a
-    tail of its own below its own frame."""
+    """A loop that an exception leaves gives back None; the loop that runs
+    the rest of the actions, from another caller, ends their captures at
+    its own frame, with the same context as the first loop's."""
     session = OracleSession(clock=VirtualClock())
     left = _on_a_new_thread(_interrupted_then_resumed, session)
     assert left is None
     assert session.oracle.mismatches == []
-    # In each loop, every capture after the first.
-    assert session.oracle.spliced == 2 * (PER_LOOP - 1)
+    assert session.oracle.in_loop == [True] * (2 * PER_LOOP)
+    assert len({id(context) for context, _ in session.oracle.returned}) == 1
 
 
 def _drain_from_a_callback(session):
@@ -717,75 +722,81 @@ def _drain_from_a_callback(session):
     kept = []
 
     def drain_here():
-        kept.append(session._capture._tail)
+        kept.append(session._capture.stop)
         session.drain()
-        kept.append(session._capture._tail)
+        kept.append(session._capture.stop)
 
     for i in range(PER_LOOP):
         session.call_at(i * MS, partial(_climb, 3, pool))
     session.call_at(PER_LOOP * MS, drain_here)
     session.wait_idle()
+    kept.append(session._capture.stop)
     return kept
 
 
-def test_drain_inside_the_loop_drops_the_tail():
-    """Resolve lets go of the kept tail even while the loop that kept it
-    still runs."""
-    before, after = _on_a_new_thread(_drain_from_a_callback,
-                                     OracleSession(clock=VirtualClock()))
-    assert before and after is None
+def test_drain_inside_the_loop_keeps_its_stop():
+    """A drain run from an action of the loop closes the session, not the
+    loop: the unit names the loop's frame until the loop returns."""
+    before, after, returned = _on_a_new_thread(
+        _drain_from_a_callback, OracleSession(clock=VirtualClock()))
+    assert before.f_code is _LOOP and after is before and returned is None
 
 
-def _tails_around_each_capture(session):
+def _stops_around_each_capture(session):
     pool = session.pool_executor(core_size=1, max_size=1)
     seen = []
     for i in range(3):
-        session.call_at(i * MS, lambda: seen.append(session._capture._tail))
+        session.call_at(i * MS, lambda: seen.append(session._capture.stop))
         session.call_at(i * MS + 1, partial(_climb, 3, pool))
-    session.call_at(3 * MS, lambda: seen.append(session._capture._tail))
+    session.call_at(3 * MS, lambda: seen.append(session._capture.stop))
     session.wait_idle()
     session.drain()
     return seen
 
 
-def test_a_loop_keeps_its_tail_once_an_action_has_walked():
-    """No tail is kept before the loop's first full walk; once the action
-    that made it returns, the loop keeps its tail, and every later walk
-    appends that same tail."""
+def test_a_loop_names_its_frame_for_every_action():
+    """From its first action on, a loop's every action sees the loop's
+    own frame as the unit's stop, and every capture ends there."""
     session = OracleSession(clock=VirtualClock())
-    before, *after = _on_a_new_thread(_tails_around_each_capture, session)
-    assert before is None
-    assert after[0] is not None and all(tail is after[0] for tail in after)
-    assert session.oracle.spliced == 2 and session.oracle.mismatches == []
+    first, *rest = _on_a_new_thread(_stops_around_each_capture, session)
+    assert first.f_code is _LOOP and all(stop is first for stop in rest)
+    assert session.oracle.in_loop == [True] * 3
+    assert session.oracle.mismatches == []
 
 
-def test_an_inner_loop_gives_back_the_outer_tail():
+def test_an_inner_loop_gives_back_the_outer_stop():
     session = OracleSession(clock=VirtualClock())
     pool = session.pool_executor(core_size=1, max_size=1)
     seen = []
 
     def inner_loop():
-        seen.append(session._capture._tail)
+        seen.append(session._capture.stop)
+        session.call_at(session.clock.now_ns() + MS,
+                        lambda: seen.append(session._capture.stop))
         for i in range(2):
             session.call_at(session.clock.now_ns() + (i + 1) * MS,
                             partial(_climb, 2, pool))
         session.wait_idle()
-        seen.append(session._capture._tail)
+        seen.append(session._capture.stop)
         _climb(2, pool)
 
     session.call_at(0, partial(_climb, 3, pool))
     session.call_at(MS, inner_loop)
     session.wait_idle()
     session.drain()
-    outer, back = seen
-    assert outer is not None and back is outer
-    assert session.oracle.spliced == 3 and session.oracle.mismatches == []
+    outer, inner, back = seen
+    assert outer.f_code is inner.f_code is _LOOP
+    assert inner is not outer and back is outer
+    assert session.oracle.in_loop == [True] * 4
+    assert session.oracle.mismatches == []
+    # The inner loop's captures end at its frame, so they name no frame
+    # of the action that ran it.
+    assert [len(frames) for frames in _looped_frames(session.oracle)] == [3, 2, 2, 3]
 
 
 def _from_another_thread(s):
-    """Captures in a loop that keeps its tail, one of them from a thread
-    that a timed callback starts and joins: that thread's stack does not
-    pass the loop's frame."""
+    """Captures in a loop, one of them from a thread that a timed callback
+    starts and joins: that thread's stack does not pass the loop's frame."""
     pool = s.pool_executor(core_size=1, max_size=1)
 
     def on_a_thread():
@@ -800,12 +811,16 @@ def _from_another_thread(s):
 
 
 def test_a_walk_that_misses_the_loops_frame_goes_to_its_end():
+    """The other thread's walk goes to its stack's end, past ``threading``'s
+    frames, which are internal: its context is its three user frames."""
     session = OracleSession(clock=VirtualClock())
     _from_another_thread(session)
     session.drain()
     assert session.oracle.captures == session.capture_walks == 5
-    assert session.oracle.spliced == 3  # the loop's own, after its first
+    assert session.oracle.in_loop == [True, True, True, False, True]
     assert session.oracle.mismatches == []
+    frames = session.oracle.returned[3][0].frames
+    assert [frame.split(":")[1] for frame in frames] == ["_climb"] * 3
 
 
 def test_one_code_under_two_modules_gives_two_contexts():
@@ -1011,9 +1026,10 @@ def test_module_test_agrees_with_startswith():
     modules = {frame.rsplit(":", 2)[0]
                for context, _ in session.oracle.returned
                for frame in context.frames}
-    # "asyncscope.runtime_helpers" starts with "asyncscope.runtime".
-    assert "asyncscope.runtime_helpers" not in modules
-    assert {"asyncscope", "?"} <= modules
+    # "asyncscope.runtime_helpers" starts with "asyncscope.runtime"; only
+    # the module named exactly "threading" is internal.
+    assert not {"asyncscope.runtime_helpers", "threading"} & modules
+    assert {"asyncscope", "threading_utils", "?"} <= modules
 
 
 @pytest.mark.parametrize("case", [loop, alternating, one_line_two_calls])
@@ -1236,14 +1252,14 @@ def test_straight_line_site_holds_nothing():
 def _wait_with_a_local(session, pool, kept):
     """Runs the dispatch loop from a frame that holds a local, with
     captures at several depths above the loop, and returns a weak
-    reference to that local; notes in ``kept`` whether the loop had kept
-    its tail by its end."""
+    reference to that local; notes in ``kept`` whether the unit named the
+    loop's frame at its end."""
     local = _Local()
     ref = weakref.ref(local)
     for i in range(PER_LOOP):
         session.call_at(i * MS, _at_depth((0, 1, 3, 30)[i % 4], pool))
     session.call_at(PER_LOOP * MS,
-                    lambda: kept.append(session._capture._tail is not None))
+                    lambda: kept.append(session._capture.stop is not None))
     session.wait_idle()
     return ref
 
@@ -1261,8 +1277,8 @@ def test_dispatch_frame_is_let_go():
         assert ref() is None
     finally:
         gc.enable()
-    assert kept == [True]  # the loop had kept its tail
-    assert session.capture_walks == PER_LOOP
+    assert kept == [True]  # the unit had named the loop's frame
+    assert session.capture_walks == PER_LOOP and session._capture.stop is None
     session.drain()
 
 

@@ -327,3 +327,51 @@ def test_every_entry_point_attributes_its_task_to_the_caller(clock):
         others = {i.thread_id for label, i in scheduled_by.items()
                   if not label.startswith("foreign:")}
         assert ident.thread_id not in others | set(spawned)
+
+
+def _contexts_of_nested_sites(clock):
+    """Runs a task body and a timed action that each submit, twice, each
+    time drained by ``wait_idle`` from another caller; returns each label's
+    set of context frames."""
+    session = ProfilerSession(clock=clock())
+    inner = session.pool_executor(core_size=1, max_size=1)
+    outer = session.pool_executor(core_size=1, max_size=1)
+
+    def body(token):
+        inner.submit(Task("from-body", synthetic_duration_ns=1 * MS))
+
+    def action():
+        inner.submit(Task("from-action", synthetic_duration_ns=1 * MS))
+
+    def submit_both():
+        outer.submit(Task("host", body=body, synthetic_duration_ns=1 * MS))
+        session.call_at(session.clock.now_ns(), action)
+
+    def first():
+        submit_both()
+        assert session.wait_idle(10)
+
+    def second():
+        submit_both()
+        assert session.wait_idle(10)
+
+    first()
+    second()
+    trace = session.drain(timeout_s=10)
+    contexts = defaultdict(set)
+    for ev in trace.events:
+        if ev.kind is EventKind.SCHEDULE:
+            contexts[ev.detail].add(ev.context.frames)
+    return contexts
+
+
+def test_each_site_gets_one_context_on_both_engines():
+    """A capture ends at the engine frame that ran the submitter: a site
+    in a task body or a timed action has one context, whoever waited and
+    whichever engine ran it, and it names only the site's own frame."""
+    virtual = _contexts_of_nested_sites(VirtualClock)
+    real = _contexts_of_nested_sites(RealMonotonicClock)
+    for label, symbol in (("from-body", "body"), ("from-action", "action")):
+        (frames,) = virtual[label]
+        assert real[label] == {frames}
+        assert [frame.split(":")[1] for frame in frames] == [symbol]

@@ -58,6 +58,32 @@ def test_bench_pairs_alternates_and_compares(monkeypatch, capsys):
     assert rows["trace_bytes_per_task"][-1] == "0/3"
 
 
+def test_bench_pairs_runs_every_workload_without_one_named(monkeypatch, capsys):
+    pairs = _load("bench_pairs")
+    calls = []
+
+    def fake_run(args, cwd, **kwargs):
+        workload = args[args.index("--workload") + 1]
+        calls.append((workload, cwd))
+        line = json.dumps({"correct": True, "metrics": {
+            "submit_us_p50": {"value": 10.0 if cwd == "parent" else 9.0,
+                              "unit": "us"}}})
+        return subprocess.CompletedProcess(args, 0, stdout=f"{line}\n", stderr="")
+
+    monkeypatch.setattr(pairs.subprocess, "run", fake_run)
+    pairs.main(["parent", "change", "--pairs", "2", "--seconds", "1"])
+    names = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    assert pairs.benchmark_workloads() == names and len(names) == 3
+    # Each workload's pairs in turn, parent first in each pair.
+    assert calls == [(name, cwd) for name in names
+                     for _ in range(2) for cwd in ("parent", "change")]
+    tables = capsys.readouterr().out.split("\n\n")
+    assert [table.split(",")[0] for table in tables] == names
+    for table in tables:
+        assert table.splitlines()[-1].split()[1:] == [
+            "10.000", "0.000", "9.000", "0.900", "2/2"]
+
+
 @pytest.mark.parametrize("stdout, code", [
     ('{"correct": false, "metrics": {}}\n', 1),
     ('{"correct": false, "metrics": {}}\n', 0),

@@ -346,8 +346,15 @@ _PARSE_OUTCOMES = {
     (8, "\u0662"): (MalformedLine,
                     "parent_thread_id must be written 2, got '\u0662'"),
     (8, "007"): (MalformedLine, "parent_thread_id must be written 7, got '007'"),
+    # Escapes that decode and that encode_session never writes, lowercase
+    # or needless: a key or a detail refuses them, naming the one it writes.
+    (6, "a%7cb"): (MalformedLine, "escape must be written 'a%7Cb', got 'a%7cb'"),
+    (6, "%41"): (MalformedLine, "escape must be written 'A', got '%41'"),
+    (11, "a%7cb"): (MalformedLine, "escape must be written 'a%7Cb', got 'a%7cb'"),
+    (11, "%41"): (MalformedLine, "escape must be written 'A', got '%41'"),
 }
 _SPELLINGS = ("+1", " 1", "1_0", "\u0662", "007")
+_ESCAPES = ("a%7cb", "%41")
 # Where a line's own role changes the outcome: a seq above every later
 # one fails at the next line, a Spawn (line 4) carries no task key, and
 # a parent id is refused only for the main thread (lines 3, 5 and 8).
@@ -397,6 +404,31 @@ def test_thread_fields_take_only_what_encode_writes(line_no, field):
     thread's parent (lines 3, 5 and 8) is refused for its spelling first."""
     for value in _SPELLINGS:
         _assert_mutation_fails(line_no, field, value, *_PARSE_OUTCOMES[field, value])
+
+
+@pytest.mark.parametrize("line_no", range(3, 9))
+@pytest.mark.parametrize("field", [6, 11])
+def test_keys_and_details_take_only_what_encode_writes(line_no, field):
+    """An escape that the writer would spell otherwise fails at its line,
+    in a key (before a Spawn, line 4, is refused for having one) or a
+    detail."""
+    for value in _ESCAPES:
+        _assert_mutation_fails(line_no, field, value, *_PARSE_OUTCOMES[field, value])
+
+
+@pytest.mark.parametrize("line_no, field, value, message", [
+    (1, 2, "a%7cb", "escape must be written 'a%7Cb', got 'a%7cb'"),
+    (1, 3, "%41", "escape must be written 'A', got '%41'"),
+    (1, 2, "%5F%5F", "escape must be written '__', got '%5F%5F'"),
+    (2, 3, "m:f:1;a%3b", "escape must be written 'a%3B', got 'a%3b'"),
+    (2, 3, "%6D:f:1", "escape must be written 'm:f:1', got '%6D:f:1'"),
+])
+def test_header_and_frames_take_only_what_encode_writes(line_no, field, value,
+                                                        message):
+    """The session id, the config label and each context frame are read
+    only as the writer spells them; a bare `_` is still written `%5F`."""
+    _assert_mutation_fails(line_no, field, value, MalformedLine, message)
+    parse_trace(_mutated(line_no, field, "%5F"))
 
 
 @pytest.mark.parametrize("value", _SPELLINGS + ("-0",))
