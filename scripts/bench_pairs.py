@@ -1,16 +1,19 @@
 #!/usr/bin/env python3
 """Compare two checkouts on perfbench workloads in alternating pairs.
 
-Runs ``perfbench/run.py --workload W --seed K --seconds S --trace 0`` in
+Runs ``perfbench/run.py --workload W --seed K --seconds S --trace T`` in
 PARENT_DIR and then in CHANGE_DIR, N times over, and prints for each
-end-to-end metric the parent's median and interquartile range, the
-change's median, their ratio, and in how many pairs the change read
-lower. Without ``--workload`` it does so for every workload that this
+metric the parent's median and interquartile range, the change's median,
+their ratio, and in how many pairs the change read lower. With
+``--trace 0``, the default, those are the end-to-end metrics; with
+``--trace 1``, the per-layer ones, which show the layer a change moved.
+Without ``--workload`` it does so for every workload that this
 checkout's ``BENCHMARK.json`` lists, one after another, and prints one
 table for each::
 
     python3 scripts/bench_pairs.py ../parent . --workload deep_mixed --pairs 10 --seconds 30
     python3 scripts/bench_pairs.py ../parent . --pairs 5 --seconds 30
+    python3 scripts/bench_pairs.py ../parent . --workload multi_config --pairs 2 --seconds 6 --trace 1
 
 A run whose last line is not a JSON object with ``"correct": true`` stops
 the comparison with a non-zero exit.
@@ -32,11 +35,12 @@ def benchmark_workloads() -> list[str]:
         return [workload["name"] for workload in json.load(f)["workloads"]]
 
 
-def run_once(checkout: str, workload: str, seconds: float, seed: int) -> dict:
+def run_once(checkout: str, workload: str, seconds: float, seed: int,
+             trace: int) -> dict:
     """One perfbench run in ``checkout``: its metrics, name -> value."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True,
     )
     lines = proc.stdout.splitlines()
@@ -76,20 +80,25 @@ def main(argv=None) -> None:
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0,
+                        help="1 pairs traced runs, which print per-layer metrics")
     args = parser.parse_args(argv)
 
     workloads = [args.workload] if args.workload else benchmark_workloads()
     for n, workload in enumerate(workloads):
         parent, change = [], []
         for i in range(args.pairs):
-            parent.append(run_once(args.parent_dir, workload, args.seconds, args.seed))
-            change.append(run_once(args.change_dir, workload, args.seconds, args.seed))
+            parent.append(run_once(args.parent_dir, workload, args.seconds,
+                                   args.seed, args.trace))
+            change.append(run_once(args.change_dir, workload, args.seconds,
+                                   args.seed, args.trace))
             print(f"{workload}: pair {i + 1}/{args.pairs} done", file=sys.stderr,
                   flush=True)
         if n:
             print()
-        print(f"{workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s, "
-              "parent first in each")
+        traced = ", traced" if args.trace else ""
+        print(f"{workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s"
+              f"{traced}, parent first in each")
         print("\n".join(compare(parent, change)), flush=True)
 
 

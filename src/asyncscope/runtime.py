@@ -81,17 +81,18 @@ _SPAWN, _SCHEDULE, _START, _END, _CANCEL = (
 
 # The frames of a capture that walked no user frame.
 _UNKNOWN = ("<unknown>:<unknown>:0",)
-# id(code) -> [weak reference to the code, {f_lasti: ":symbol:line"}, the
-# code's repeat spans or None, the keys it added to _repeats], shared by
-# every session. Drain names and numbers a frame from it, and scans the
-# code's co_lines() only for an f_lasti it has not seen; a capture scans the
-# code's jumps once, the first time it tests one of its frames. An entry and
-# its keys in _repeats go when its code dies, so a reused id finds no stale
-# table.
+# id(code) -> [weak reference to the code, the code's repeat spans or None,
+# the keys it added to _repeats and _names], shared by every session. A
+# capture scans the code's jumps once, the first time it tests one of its
+# frames. An entry and its keys go when its code dies, so a reused id finds
+# no stale answer or name.
 _line_tables: dict[int, list] = {}
 # (module, id(code), f_lasti) -> whether a capture may hold a frame there,
 # keyed by the walk's own tuple, so that the test is one lookup.
 _repeats: dict[tuple, bool] = {}
+# (module, id(code), f_lasti) -> "module:symbol:line", filled by drain: a
+# raw frame is named once a process, for every session whose stacks hold it.
+_names: dict[tuple, str] = {}
 
 
 def _code_entry(code) -> list:
@@ -103,31 +104,28 @@ def _code_entry(code) -> list:
         if entry is not None:
             _forget_line_table(key, entry[0])
         entry = _line_tables.setdefault(key, [
-            weakref.ref(code, partial(_forget_line_table, key)), {}, None, []])
+            weakref.ref(code, partial(_forget_line_table, key)), None, []])
     return entry
 
 
-def _where(code, lasti: int) -> str:
-    """``:symbol:line`` for a frame of ``code`` at ``lasti``, the line
-    being the one that ``f_lineno`` gives."""
-    entry = _line_tables.get(id(code))
-    if entry is None or entry[0]() is not code:  # no call for a known code
-        entry = _code_entry(code)
-    wheres = entry[1]
-    where = wheres.get(lasti)
-    if where is None:
-        line = next((line for start, end, line in code.co_lines()
-                     if start <= lasti < end), None)
-        where = wheres[lasti] = f":{code.co_name}:{line}"
-    return where
+def _name(frame: tuple, code) -> str:
+    """Fills ``_names[frame]`` for a raw tuple of ``code``: its module, its
+    code's name and the line that ``f_lineno`` gives at its f_lasti."""
+    module, _, lasti = frame
+    line = next((line for start, end, line in code.co_lines()
+                 if start <= lasti < end), None)
+    _code_entry(code)[2].append(frame)
+    name = _names[frame] = f"{module}:{code.co_name}:{line}"
+    return name
 
 
 def _forget_line_table(key: int, ref) -> None:
     entry = _line_tables.get(key)
     if entry is not None and entry[0] is ref:
         del _line_tables[key]
-        for frame in entry[3]:
+        for frame in entry[2]:
             _repeats.pop(frame, None)
+            _names.pop(frame, None)
 
 
 # CO_GENERATOR | CO_COROUTINE | CO_ASYNC_GENERATOR: such a frame's caller
@@ -167,11 +165,11 @@ def _can_repeat(frame: tuple, code) -> bool:
     code is not resumable and the instruction at its f_lasti can run again
     in the same call."""
     entry = _code_entry(code)
-    if entry[2] is None:
-        entry[2] = () if code.co_flags & _RESUMABLE else _repeat_spans(code)
+    if entry[1] is None:
+        entry[1] = () if code.co_flags & _RESUMABLE else _repeat_spans(code)
     lasti = frame[2]
-    again = _repeats[frame] = any(lo <= lasti < hi for lo, hi in entry[2])
-    entry[3].append(frame)
+    again = _repeats[frame] = any(lo <= lasti < hi for lo, hi in entry[1])
+    entry[2].append(frame)
     return again
 
 
@@ -227,18 +225,20 @@ class _Capture:
         self._contexts: dict[tuple, tuple[ExecutionContext, list]] = {}
         self._blank = _blank_context()
 
-    def context(self) -> ExecutionContext:
-        """The context of its caller's caller's raw stack, innermost first,
-        a ``(module, id(code), f_lasti)`` tuple for each user frame down to
-        ``stop``. Called by ``_register_task``, with the session's lock
-        held."""
+    def context(self, skip: int) -> ExecutionContext:
+        """The context of the raw stack from the frame ``skip`` calls out
+        from this one, innermost first: a ``(module, id(code), f_lasti)``
+        tuple for each user frame down to ``stop``. ``_register_task``
+        passes the depth of the frame that called the submission API, past
+        the frames of its own path, and calls with the session's lock held.
+        A stack with no frame that far out has no user frame."""
         depth = DEFAULT_CAPTURE_DEPTH
         held, known = self._held
         stop = self.stop
         raw, codes = [], []
         key = last = None
-        f = sys._getframe(2)
         try:
+            f = sys._getframe(skip)
             while f is not stop and len(codes) < 2:
                 module = f.f_globals.get("__name__", "?")
                 if not _is_internal[module]:
@@ -274,6 +274,8 @@ class _Capture:
                     f = f.f_back
         except AttributeError:  # f is None: stop is not on this thread's stack
             pass
+        except ValueError:  # the stack ends before the frame ``skip`` names
+            pass
         self.walks += 1
         raw = tuple(raw)
         blank = self._blank
@@ -296,7 +298,7 @@ class _Capture:
                 again = _can_repeat(raw[0], codes[0])
             if again:
                 if len(raw) > 1:  # find the inner frame, which is not last
-                    last = sys._getframe(2)
+                    last = sys._getframe(skip)
                     while _is_internal[last.f_globals.get("__name__", "?")]:
                         last = last.f_back
                 self._held = (last, {raw[:1]: context})
@@ -309,16 +311,14 @@ class _Capture:
         ``module:symbol:line``, and let go of the held frame and the table."""
         contexts, self._contexts = self._contexts, {}
         self._held = (None, None)
-        # Each raw frame is named once a drain: stacks share their callers.
-        names: dict[tuple, str] = {}
         by_frames: dict[tuple, ExecutionContext] = {}
         merged: dict[int, ExecutionContext] = {}
         for raw, (context, codes) in contexts.items():
             frames = []
             for frame, code in zip(raw, codes):
-                name = names.get(frame)
+                name = _names.get(frame)
                 if name is None:
-                    name = names[frame] = frame[0] + _where(code, frame[2])
+                    name = _name(frame, code)
                 frames.append(name)
             frames = tuple(frames) or _UNKNOWN
             object.__setattr__(context, "frames", frames)
@@ -590,9 +590,9 @@ class ProfilerSession:
 
     def _register_task(self, task: Task, mechanism: Mechanism,
                        requester: ThreadIdentity, key_prefix: str | None,
-                       owner: "_Executor") -> _TaskState:
+                       owner: "_Executor", skip: int) -> _TaskState:
         """Key, record and announce a task that ``requester`` submitted;
-        called with the lock held."""
+        called with the lock held. ``skip`` goes to the capture."""
         if self._closed:
             raise SessionClosed("session is closed")
         # _value_, because Enum.value is a Python-level property.
@@ -602,7 +602,7 @@ class ProfilerSession:
         self._tasks[state.key] = state
         self._outstanding += 1
         if self.emit_events:
-            context = self._capture.context()
+            context = self._capture.context(skip)
             self._events.append(_tuple_new(TaskEvent, (
                 self.clock.now_ns(), _SCHEDULE, mechanism, state.key,
                 requester, context, task.label)))
@@ -664,7 +664,7 @@ class ProfilerSession:
         with self._lock:
             worker = executor._new_worker(requester)
             state = self._register_task(task, Mechanism.NEW_THREAD, requester,
-                                        None, executor)
+                                        None, executor, 3)
             self._engine.start(state, worker)
         return state.key
 
@@ -863,8 +863,9 @@ class _Pool(_Executor):
                     and len(self._pending) >= self.queue_bound:
                 raise QueueFull("pool pending queue is at its bound")
             requester = self._session.current_thread()
+            # The submitter called submit, which called this method.
             state = self._session._register_task(task, mechanism, requester,
-                                                 key_prefix, self)
+                                                 key_prefix, self, 4)
             if idle:
                 worker = idle.popleft()
                 worker.idle_gen += 1

@@ -37,6 +37,7 @@ from asyncscope.runtime import (
     Task,
     _Capture,
     _line_tables,
+    _names,
     _repeat_spans,
     _repeats,
     _VirtualEngine,
@@ -132,14 +133,15 @@ class _OracleCapture(_Capture):
         # The memo of the frame held last: a new one means a new hold.
         self._known = None
 
-    def context(self):
-        # Frame 2 is what the unit's own walk starts from when
-        # _register_task calls it; called from here, it starts one frame
-        # lower, at _register_task itself, which the walk skips.
+    def context(self, skip):
+        # The reference walk starts from _register_task's caller, frame 2
+        # here, and walks the submission path's frames that the unit skips;
+        # the unit is one call further out from here than from
+        # _register_task, so it is passed ``skip + 1``.
         want, raw, codes = uncached_walk(sys._getframe(2), DEFAULT_CAPTURE_DEPTH)
         head = user_frames(sys._getframe(2), 2)
         before, walks = self._held[0], self.walks
-        got = super().context()
+        got = super().context(skip + 1)
         self.captures += 1
         self.returned.append((got, want))
         self.in_loop.append(dispatch_loop(sys._getframe(2)) is not None)
@@ -842,6 +844,57 @@ def test_no_user_frame_is_unknown():
         ("<unknown>:<unknown>:0",)}
 
 
+@pytest.mark.parametrize("clock", [VirtualClock, RealMonotonicClock],
+                         ids=["virtual", "real"])
+def test_shortest_stacks_are_unknown(clock):
+    """The shortest stacks a submission can have, each of which submits
+    and is unknown. On the real clock, a bare thread that starts at submit
+    itself, so that the frame where the capture starts does not exist; on
+    the virtual clock, a timed action that is submit itself, so that only
+    internal frames sit above the dispatch loop."""
+    session = OracleSession(clock=clock())
+    pool = session.pool_executor(core_size=1, max_size=1)
+    ran = threading.Event()
+    task = Task("shallow", body=lambda token: ran.set(),
+                synthetic_duration_ns=MS)
+    if clock is VirtualClock:
+        session.call_at(MS, partial(pool.submit, task))
+    else:
+        _thread.start_new_thread(pool.submit, (task,))
+        assert ran.wait(10)
+    trace = session.drain(timeout_s=10)
+    assert session.oracle.mismatches == []
+    assert [c.frames for c in schedule_contexts(trace)] == [
+        ("<unknown>:<unknown>:0",)]
+
+
+def _entry_site(submit, task):
+    submit(task)
+
+
+@pytest.mark.parametrize("clock", [VirtualClock, RealMonotonicClock],
+                         ids=["virtual", "real"])
+def test_each_entry_gives_its_submitters_frame(clock):
+    """A one-line site submits through each public entry, each time from a
+    timed action, so that the site's frame is the only user frame above the
+    engine's: the capture skips each entry's own frames, and no more."""
+    session = OracleSession(clock=clock())
+    pool = session.pool_executor(core_size=1, max_size=1)
+    session.register_service("svc")
+    entries = [session.spawn_thread, pool.submit,
+               session.serial_executor().submit,
+               session.facade.execute_default,
+               partial(session.facade.execute_on, pool),
+               partial(session.dispatch_service, "svc")]
+    for entry in entries:
+        session.call_at(0, partial(_entry_site, entry, _task("entry")))
+    trace = session.drain(timeout_s=10)
+    assert session.oracle.mismatches == []
+    site = f"{__name__}:_entry_site:{_entry_site.__code__.co_firstlineno + 1}"
+    assert [c.frames for c in schedule_contexts(trace)] == [
+        (site,)] * len(entries)
+
+
 def test_reused_code_ids_get_their_own_lines():
     """Sessions one after another, each drained before the next defines
     its helpers, whose codes can take the ids of the last session's."""
@@ -866,6 +919,36 @@ def test_line_table_goes_with_its_code():
     del submit
     assert code() is None
     assert all(entry[0] is not table for entry in _line_tables.values())
+
+
+def _no_scan(frame, code):
+    raise AssertionError(f"{frame} was named again")
+
+
+def test_names_go_with_their_code_and_serve_later_sessions(monkeypatch):
+    """A raw frame is named once a process: its name goes when its code
+    dies, and a later session whose stacks are live names no frame."""
+    session = ProfilerSession(clock=VirtualClock())
+    pool = session.pool_executor(core_size=1, max_size=1)
+    submit = _foreign_submit("dropped", 5)
+    submit(pool, _task("t"))
+    session.drain()
+    key = id(submit.__code__)
+    assert [name for frame, name in _names.items()
+            if frame[1] == key] == ["dropped:submit:6"]
+    del submit, session, pool
+    gc.collect()
+    assert not any(frame[1] == key for frame in _names)
+    assert not any(frame[1] == key for frame in _repeats)
+    # Two sessions submit from one site, the second unable to name a frame.
+    contexts = []
+    for scan in (True, False):
+        if not scan:
+            monkeypatch.setattr(runtime, "_name", _no_scan)
+        session = ProfilerSession(clock=VirtualClock())
+        loop(session)
+        contexts.append(schedule_contexts(session.drain()))
+    assert [c.frames for c in contexts[1]] == [c.frames for c in contexts[0]]
 
 
 def _shaped_submit(loops):
@@ -899,7 +982,7 @@ def test_repeat_keys_go_with_their_code():
     key = id(submit.__code__)
     keys = [frame for frame in _repeats if frame[1] == key]
     assert keys == [("shaped", key, keys[0][2])] and _repeats[keys[0]] is False
-    assert _line_tables[key][3] == keys
+    assert _line_tables[key][2] == keys
     session.drain()
     ref = _line_tables[key][0]
     del submit
@@ -1310,7 +1393,7 @@ def test_a_second_drain_gives_the_same_contexts():
 def _capture(unit):
     """Stands in for _register_task: the unit's walk starts at this
     function's caller, and so does the uncached walk returned with it."""
-    return unit.context(), uncached_walk(sys._getframe(1), DEFAULT_CAPTURE_DEPTH)[0]
+    return unit.context(2), uncached_walk(sys._getframe(1), DEFAULT_CAPTURE_DEPTH)[0]
 
 
 def _capture_site(unit, got):
@@ -1342,7 +1425,10 @@ def test_capture_unit_without_a_session(monkeypatch):
     for context, want in got:
         assert context.frames == formatted(want)
     assert len({id(context) for context, _ in got}) == 2
-    # The first resolve emptied the table: the second names no frame.
-    monkeypatch.setattr(runtime, "_where", None)
+    # The first resolve emptied the table: the second names no frame, not
+    # even one that the process-wide table already names.
+    assert unit._contexts == {}
+    monkeypatch.setattr(runtime, "_names", {})
+    monkeypatch.setattr(runtime, "_name", None)
     unit.resolve([])
     assert all(context.frames == formatted(want) for context, want in got)

@@ -84,6 +84,28 @@ def test_bench_pairs_runs_every_workload_without_one_named(monkeypatch, capsys):
             "10.000", "0.000", "9.000", "0.900", "2/2"]
 
 
+@pytest.mark.parametrize("flag, trace", [([], "0"), (["--trace", "0"], "0"),
+                                         (["--trace", "1"], "1")])
+def test_bench_pairs_passes_its_trace_flag_to_each_run(monkeypatch, capsys,
+                                                       flag, trace):
+    pairs = _load("bench_pairs")
+    calls = []
+
+    def fake_run(args, cwd, **kwargs):
+        calls.append((cwd, args[args.index("--trace") + 1]))
+        line = json.dumps({"correct": True, "metrics": {
+            "runtime.submit_us_per_task": {"value": 10.0, "unit": "us"}}})
+        return subprocess.CompletedProcess(args, 0, stdout=f"{line}\n", stderr="")
+
+    monkeypatch.setattr(pairs.subprocess, "run", fake_run)
+    pairs.main(["parent", "change", "--workload", "multi_config", "--pairs", "2",
+                "--seconds", "1", *flag])
+    assert calls == [("parent", trace), ("change", trace)] * 2
+    out = capsys.readouterr().out
+    assert ("traced" in out.splitlines()[0]) == (trace == "1")
+    assert out.splitlines()[-1].split()[0] == "runtime.submit_us_per_task"
+
+
 @pytest.mark.parametrize("stdout, code", [
     ('{"correct": false, "metrics": {}}\n', 1),
     ('{"correct": false, "metrics": {}}\n', 0),
