@@ -2,9 +2,12 @@
 """Compare two checkouts on perfbench workloads in alternating pairs.
 
 Runs ``perfbench/run.py --workload W --seed K --seconds S --trace T`` in
-PARENT_DIR and then in CHANGE_DIR, N times over, and prints for each
-metric the parent's median and interquartile range, the change's median,
-their ratio, and in how many pairs the change read lower. With
+PARENT_DIR and in CHANGE_DIR, N times over, the parent first in the odd
+pairs and the change first in the even ones. It prints for each metric
+the parent's median and interquartile range, the change's median, their
+ratio, and in how many pairs the change read lower, counted apart for
+each order, so that a bias of the slot a run takes shows as counts that
+disagree. With
 ``--trace 0``, the default, those are the end-to-end metrics; with
 ``--trace 1``, the per-layer ones, which show the layer a change moved.
 Without ``--workload`` it does so for every workload that this
@@ -56,18 +59,22 @@ def run_once(checkout: str, workload: str, seconds: float, seed: int,
 
 
 def compare(parent: list[dict], change: list[dict]) -> list[str]:
-    """One line per metric, for runs paired by index."""
+    """One line per metric, for runs paired by index, the parent first in
+    pairs 0, 2, 4, ...: the change's lower count with the parent first,
+    then with the change first."""
     lines = [f"{'metric':<24} {'parent':>10} {'IQR':>8} {'change':>10} "
-             f"{'ratio':>7} {'lower':>6}"]
+             f"{'ratio':>7} {'p-first':>8} {'c-first':>8}"]
     for name in parent[0]:
         a = [run[name] for run in parent]
         b = [run[name] for run in change]
         q1, _, q3 = quantiles(a, n=4) if len(a) > 1 else (a[0],) * 3
         mid_a, mid_b = median(a), median(b)
         ratio = mid_b / mid_a if mid_a else float("nan")
-        lower = sum(y < x for x, y in zip(a, b))
+        lower = [y < x for x, y in zip(a, b)]
+        counts = (f"{sum(lower[first::2]):>5}/{len(lower[first::2])}"
+                  for first in (0, 1))
         lines.append(f"{name:<24} {mid_a:>10.3f} {q3 - q1:>8.3f} {mid_b:>10.3f} "
-                     f"{ratio:>7.3f} {lower:>3}/{len(a)}")
+                     f"{ratio:>7.3f} {' '.join(counts)}")
     return lines
 
 
@@ -88,17 +95,17 @@ def main(argv=None) -> None:
     for n, workload in enumerate(workloads):
         parent, change = [], []
         for i in range(args.pairs):
-            parent.append(run_once(args.parent_dir, workload, args.seconds,
-                                   args.seed, args.trace))
-            change.append(run_once(args.change_dir, workload, args.seconds,
-                                   args.seed, args.trace))
+            sides = [(args.parent_dir, parent), (args.change_dir, change)]
+            for checkout, runs in sides if i % 2 == 0 else sides[::-1]:
+                runs.append(run_once(checkout, workload, args.seconds,
+                                     args.seed, args.trace))
             print(f"{workload}: pair {i + 1}/{args.pairs} done", file=sys.stderr,
                   flush=True)
         if n:
             print()
         traced = ", traced" if args.trace else ""
         print(f"{workload}, seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s"
-              f"{traced}, parent first in each")
+              f"{traced}, parent and change first in turn")
         print("\n".join(compare(parent, change)), flush=True)
 
 

@@ -2,11 +2,13 @@
 """Write one point of the benchmark trajectory, ``BENCH_<label>.json``.
 
 Runs ``perfbench/run.py --workload W --seed 1 --seconds 30 --trace 0`` for
-each workload, one after another, then the real-clock overhead benchmark
-of acceptance criterion #8 (``asyncscope.bench.run_overhead_benchmark``
-at its defaults). The file records perfbench's environment stamp, each
-workload's final JSON line, and the overhead benchmark's medians and
-ratio. Run from anywhere; it writes into the repository root::
+each workload that ``BENCHMARK.json`` lists, one after another, then the
+real-clock overhead benchmark of acceptance criterion #8
+(``asyncscope.bench.run_overhead_benchmark`` at its defaults). The file
+records perfbench's environment stamp, each workload's final JSON line,
+and the overhead benchmark's medians, in seconds a run and µs a task,
+the µs that emission adds to a task, and the ratio. Run from anywhere;
+it writes into the repository root::
 
     python3 scripts/bench_snapshot.py 7      # writes BENCH_7.json
 """
@@ -18,11 +20,10 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "scripts")]
 
 from asyncscope.bench import run_overhead_benchmark  # noqa: E402
-
-WORKLOADS = ("live_pool", "deep_mixed", "multi_config")
+from bench_pairs import benchmark_workloads  # noqa: E402
 
 
 def run_workload(name: str) -> tuple[dict, dict]:
@@ -44,14 +45,14 @@ def run_workload(name: str) -> tuple[dict, dict]:
     return json.loads(env[len("env: "):]), json.loads(out[-1])
 
 
-def main() -> None:
+def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("label", help="names the output file BENCH_<label>.json")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     env = None
     workloads = {}
-    for name in WORKLOADS:
+    for name in benchmark_workloads():
         env, workloads[name] = run_workload(name)
     overhead = run_overhead_benchmark()
     snapshot = {
@@ -63,6 +64,9 @@ def main() -> None:
             "runs": overhead.runs,
             "median_instrumented_s": overhead.median_instrumented_s,
             "median_baseline_s": overhead.median_baseline_s,
+            "instrumented_us_per_task": overhead.instrumented_us_per_task,
+            "baseline_us_per_task": overhead.baseline_us_per_task,
+            "added_us_per_task": overhead.added_us_per_task,
             "ratio": overhead.overhead,
         },
     }

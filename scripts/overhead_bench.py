@@ -32,8 +32,11 @@ def main() -> None:
     ):
         rendered = ", ".join(f"{t:.3f}s" for t in times)
         print(f"{label + ':':<19} {rendered}")
-    print(f"median instrumented: {result.median_instrumented_s:.3f}s")
-    print(f"median baseline:     {result.median_baseline_s:.3f}s")
+    print(f"median instrumented: {result.median_instrumented_s:.3f}s"
+          f" ({result.instrumented_us_per_task:.3f} us/task)")
+    print(f"median baseline:     {result.median_baseline_s:.3f}s"
+          f" ({result.baseline_us_per_task:.3f} us/task)")
+    print(f"added:               {result.added_us_per_task:.3f} us/task")
     print(f"overhead:            {result.overhead * 100:.2f}%")
 
 

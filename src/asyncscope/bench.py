@@ -41,6 +41,20 @@ class OverheadResult:
         base = self.median_baseline_s
         return (self.median_instrumented_s - base) / base
 
+    @property
+    def instrumented_us_per_task(self) -> float:
+        return self.median_instrumented_s * 1e6 / self.n_tasks
+
+    @property
+    def baseline_us_per_task(self) -> float:
+        return self.median_baseline_s * 1e6 / self.n_tasks
+
+    @property
+    def added_us_per_task(self) -> float:
+        """What emission adds to each task, in µs: unlike ``overhead``, it
+        does not move with the baseline's own speed."""
+        return self.instrumented_us_per_task - self.baseline_us_per_task
+
 
 def _noop(token) -> None:
     pass

@@ -210,12 +210,10 @@ class _Capture:
     task body that submitted, as an Android handler's context ends at its
     Looper's loop; a real worker's stack ends at its engine loop, as
     ``threading``'s frames are internal. A thread whose stack does not hold
-    ``stop`` walks to its end. Outside a loop the walk tests every frame's
-    module in a loop that checks nothing else, as the frames of short
-    sessions change module every frame or two; inside one, where recursive
-    site chains run many frames of one module, it reads a frame's module
-    name and tests it only when the frame's globals are not the previous
-    frame's.
+    ``stop`` walks to its end. Past its first two user frames, every walk
+    reads a frame's module name and tests it only when the frame's globals
+    are not the previous frame's, so a run of frames from one module, such
+    as a recursive site chain, is tested once.
     """
 
     def __init__(self) -> None:
@@ -252,29 +250,20 @@ class _Capture:
                             return context
                     last = f
                 f = f.f_back
-            if stop is None:  # outside a dispatch loop
-                while f is not None and len(codes) < depth:
-                    module = f.f_globals.get("__name__", "?")
-                    if not _is_internal[module]:
-                        code = f.f_code
-                        codes.append(code)
-                        raw.append((module, id(code), f.f_lasti))
-                    f = f.f_back
-            else:
-                names = None
-                while f is not stop and len(codes) < depth:
-                    if f.f_globals is not names:  # a new run of one module
-                        names = f.f_globals
-                        module = names.get("__name__", "?")
-                        internal = _is_internal[module]
-                    if not internal:
-                        code = f.f_code
-                        codes.append(code)
-                        raw.append((module, id(code), f.f_lasti))
-                    f = f.f_back
-        except AttributeError:  # f is None: stop is not on this thread's stack
-            pass
-        except ValueError:  # the stack ends before the frame ``skip`` names
+            names = None
+            while f is not stop and len(codes) < depth:
+                if f.f_globals is not names:  # a new run of one module
+                    names = f.f_globals
+                    module = names.get("__name__", "?")
+                    internal = _is_internal[module]
+                if not internal:
+                    code = f.f_code
+                    codes.append(code)
+                    raw.append((module, id(code), f.f_lasti))
+                f = f.f_back
+        # AttributeError: f is None, as stop is not on this thread's stack;
+        # ValueError: the stack ends before the frame ``skip`` names.
+        except (AttributeError, ValueError):
             pass
         self.walks += 1
         raw = tuple(raw)
@@ -440,6 +429,21 @@ class _TaskState:
         self.token = CancelToken()
         self.start_ns: int | None = None
         self.worker: _Worker | None = None
+
+    def next_poll(self, now_ns: int) -> int | None:
+        """When a cancel signalled at ``now_ns`` ends this running checking
+        task, on either engine: at its next poll, polls falling every
+        ``check_interval_ns`` from its Start; None when its natural end or
+        an earlier signal's end comes first."""
+        if self.token.cancelled:
+            return None  # signalled before: that early end comes first
+        interval = self.task.check_interval_ns
+        checks = max(-(-(now_ns - self.start_ns) // interval), 1)  # ceil
+        early_end = self.start_ns + checks * interval
+        duration = self.task.synthetic_duration_ns
+        if duration is not None and early_end >= self.start_ns + duration:
+            return None
+        return early_end
 
 
 class _Worker:
@@ -989,19 +993,10 @@ class _VirtualEngine:
         self._post(t_ns, partial(self._session._call_as, ident, fn))
 
     def signal(self, state: _TaskState) -> None:
-        """End a running checking task at its next poll, unless it
-        finishes first."""
-        if state.token.cancelled:
-            return  # signalled before: that early end comes first
-        interval = state.task.check_interval_ns
-        elapsed = self._clock.now_ns() - state.start_ns
-        checks = max(-(-elapsed // interval), 1)  # next poll, ceil
-        early_end = state.start_ns + checks * interval
-        duration = state.task.synthetic_duration_ns
-        if duration is not None and early_end >= state.start_ns + duration:
-            return
-        state.token.cancelled = True
-        self._post(early_end, partial(self._end, state, state.worker, True))
+        early_end = state.next_poll(self._clock.now_ns())
+        if early_end is not None:
+            state.token.cancelled = True
+            self._post(early_end, partial(self._end, state, state.worker, True))
 
     def _run(self, state: _TaskState, worker: _Worker) -> None:
         session = self._session
@@ -1079,7 +1074,10 @@ class _ThreadEngine:
             self._session._quiesce.notify_all()
 
     def signal(self, state: _TaskState) -> None:
-        state.token.cancelled = True
+        # A body of its own polls the token until it ends, whenever that is.
+        if state.task.body is not None \
+                or state.next_poll(self._clock.now_ns()) is not None:
+            state.token.cancelled = True
 
     def _loop(self, worker: _Worker) -> None:
         self._session._tls.ident = worker.ident

@@ -193,6 +193,11 @@ def test_stats_textbook_example():
     assert math.isclose(stats.queuing.variance, expected, rel_tol=1e-15)
 
 
+def test_stats_of_no_records_rejected():
+    with pytest.raises(ValueError, match="^group must be non-empty$"):
+        compute_stats([])
+
+
 def test_stats_single_value():
     stats = compute_stats([_complete(7 * MS, 3 * MS)])
     assert stats.queuing.variance == 0

@@ -67,6 +67,12 @@ def test_demo_bad_config(tmp_path, capsys):
     assert main(["demo", "sequential_execute", "--config", str(cfg)]) == EXIT_DATA
 
 
+def test_analyze_unreadable_config(trace_file, tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    assert main(["analyze", str(trace_file), "--config", str(missing)]) == EXIT_DATA
+    assert capsys.readouterr().err.startswith(f"asyncscope: error: cannot read config {missing}:")
+
+
 def test_usage_errors(capsys):
     assert main([]) == EXIT_USAGE
     assert main(["frobnicate"]) == EXIT_USAGE

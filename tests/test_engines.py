@@ -9,6 +9,7 @@ from collections import defaultdict
 import pytest
 
 from asyncscope.clock import RealMonotonicClock, VirtualClock
+from asyncscope.report import build_report, render_text
 from asyncscope.runtime import (
     CancelOutcome,
     DrainTimeout,
@@ -375,3 +376,57 @@ def test_each_site_gets_one_context_on_both_engines():
         (frames,) = virtual[label]
         assert real[label] == {frames}
         assert [frame.split(":")[1] for frame in frames] == [symbol]
+
+
+# -- a cancel's one outcome: the next poll, unless another end comes first --
+
+
+@CLOCKS
+@pytest.mark.parametrize("duration_ms, cancel_ms, kind, ends_ms", [
+    (100, (90,), EventKind.END, 100),  # the next poll, at 120, is after the end
+    (100, (70,), EventKind.CANCEL, 80),
+    (100, (15, 25), EventKind.CANCEL, 40),  # the second keeps the first's end
+    (None, (50,), EventKind.CANCEL, 80),  # a task that never finishes
+], ids=["end-first", "poll-first", "second-cancel", "never-finishes"])
+def test_a_cancel_ends_a_checking_task_at_its_next_poll_unless_it_ends_first(
+        clock, duration_ms, cancel_ms, kind, ends_ms):
+    """A task alone on a one-worker pool polls every 40 ms from its Start.
+    Each cancel is 10 ms or more from every poll and from the natural end,
+    so a late real worker or timekeeper cannot flip the outcome. On the
+    real engine, the stand-in body of end-first reaches its end with a
+    cancel pending that missed every poll, and still ends as done."""
+    task = Task("polls", cancellation_check=True, check_interval_ns=40 * MS,
+                synthetic_duration_ns=None if duration_ms is None else duration_ms * MS)
+    outcomes = []
+
+    def workload(s):
+        key = s.pool_executor(core_size=1, max_size=1).submit(task)
+        for ms in cancel_ms:
+            s.call_at(ms * MS, lambda: outcomes.append(s.cancel(key)))
+
+    trace = session_run(workload, clock=clock(), drain_timeout_s=10)
+    (record,) = correlate(trace.events)
+    assert outcomes == [CancelOutcome.SIGNALLED_RUNNING] * len(cancel_ms)
+    assert trace.events[-1].kind is kind
+    assert record.cancelled == (kind is EventKind.CANCEL)
+    assert ends_ms * MS <= latency(record) <= ends_ms * MS + LATE_NS
+
+
+@CLOCKS
+def test_a_group_with_no_complete_task_shows_no_statistics(clock):
+    """Both tasks of one site are cancelled while queued behind another
+    site's task, so that site's row has no duration to show."""
+    session = ProfilerSession(clock=clock())
+    pool = session.pool_executor(core_size=1, max_size=1)
+    pool.submit(Task("blocker", synthetic_duration_ns=20 * MS))
+    keys = [pool.submit(Task("dropped", synthetic_duration_ns=MS)) for _ in range(2)]
+    assert [session.cancel(key) for key in keys] == [
+        CancelOutcome.REMOVED_FROM_QUEUE] * 2
+    report = build_report([session.drain(timeout_s=10)])
+    rows = {row.stats.n_cancelled: row.stats for row in report.rows}
+    assert rows[2].n_complete == 0 and rows[2].queuing is rows[2].latency is None
+    assert rows[0].n_complete == 1
+    cells = {line.split()[4]: line.split()[6:] for line in
+             render_text(report).decode().splitlines() if line.startswith("0-")}
+    assert cells["2"] == ["-", "-"]
+    assert cells["0"][0].count("/") == 3

@@ -352,6 +352,52 @@ def test_negative_synthetic_duration_rejected():
         Task("t", synthetic_duration_ns=-5 * MS)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"label": ""}, "task label must be non-empty"),
+    ({"label": "t", "check_interval_ns": 0}, "check_interval_ns must be positive"),
+    ({"label": "t", "check_interval_ns": -MS}, "check_interval_ns must be positive"),
+])
+def test_bad_task_rejected(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Task(**kwargs)
+
+
+@pytest.mark.parametrize("sizes, message", [
+    ((0, 1, None), "need 1 <= core_size <= max_size"),
+    ((2, 1, None), "need 1 <= core_size <= max_size"),
+    ((1, 2, 0), "queue_bound must be positive or None"),
+])
+def test_bad_pool_bounds_rejected(sizes, message):
+    session = ProfilerSession(clock=VirtualClock())
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        session.pool_executor(*sizes)
+
+
+def test_serial_executor_refuses_a_pool_mechanism():
+    session = ProfilerSession(clock=VirtualClock())
+    with pytest.raises(ValueError, match="is not a serial-queue mechanism$"):
+        session.serial_executor(Mechanism.POOL_EXECUTOR)
+
+
+def test_virtual_time_never_runs_backwards():
+    """A timed action cannot be set before the session's now, and the
+    clock itself refuses to move back."""
+    session = ProfilerSession(clock=VirtualClock())
+    errors = []
+
+    def late():
+        with pytest.raises(ValueError, match="^call_at target is in the past$"):
+            session.call_at(4 * MS, lambda: None)
+        errors.append("refused")
+
+    session.call_at(5 * MS, late)
+    session.drain()
+    assert errors == ["refused"] and session.clock.now_ns() == 5 * MS
+    with pytest.raises(ValueError, match="^virtual time moved backwards$"):
+        session.clock._advance_to(4 * MS)
+    assert session.clock.now_ns() == 5 * MS
+
+
 def test_negative_keep_alive_rejected():
     session = ProfilerSession(clock=VirtualClock())
     with pytest.raises(ValueError, match="keep_alive_ns"):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asyncscope.trace_model import (
+    CorrelationError,
     DanglingEvent,
     DuplicateSchedule,
     EventKind,
@@ -96,6 +97,11 @@ def test_timestamp_regression_rejected():
 def test_lifecycle_out_of_order_rejected(events, message):
     with pytest.raises(OrderViolation, match=message):
         correlate(events)
+
+
+def test_schedule_without_context_rejected():
+    with pytest.raises(CorrelationError, match="^Schedule for 'POOL#1' has no context$"):
+        correlate([_sched("POOL#1", 0, ctx=None)])
 
 
 def test_cancel_while_queued_leaves_no_start():

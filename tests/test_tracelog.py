@@ -444,6 +444,7 @@ def test_clock_origin_takes_only_what_encode_writes(value):
     (3, None, "PD2|CTX|0|m:f:1", MalformedLine,
      "context id '0' out of order, expected 1"),
     (8, 10, "1", MalformedLine, "unknown context id '1'"),
+    (7, 10, "0", MalformedLine, "END must not carry a context"),
     (3, 10, "\u0660", MalformedLine, "unknown context id '\u0660'"),
     (2, None, "PD2|CTX|0|m:f:1|x", MalformedLine,
      "expected 4 fields in a CTX record, got 5"),
