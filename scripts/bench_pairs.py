@@ -38,9 +38,11 @@ def benchmark_workloads() -> list[str]:
         return [workload["name"] for workload in json.load(f)["workloads"]]
 
 
-def run_once(checkout: str, workload: str, seconds: float, seed: int,
-             trace: int) -> dict:
-    """One perfbench run in ``checkout``: its metrics, name -> value."""
+def run_perfbench(checkout: str, workload: str, seconds: float, seed: int,
+                  trace: int) -> tuple[dict | None, dict]:
+    """One perfbench run in ``checkout``: its env stamp (None when it
+    prints none) and its final JSON line. Exits non-zero unless the run
+    exited 0 and its final line is an object with ``"correct": true``."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
@@ -53,8 +55,17 @@ def run_once(checkout: str, workload: str, seconds: float, seed: int,
         last = None
     if proc.returncode != 0 or not isinstance(last, dict) or last.get("correct") is not True:
         sys.exit(f"perfbench {workload} in {checkout} exited {proc.returncode} "
-                 f"without \"correct\": true; no comparison made\n"
+                 f"without \"correct\": true\n"
                  f"{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
+    env = next((json.loads(line[len("env: "):]) for line in lines
+                if line.startswith("env: ")), None)
+    return env, last
+
+
+def run_once(checkout: str, workload: str, seconds: float, seed: int,
+             trace: int) -> dict:
+    """One perfbench run in ``checkout``: its metrics, name -> value."""
+    _, last = run_perfbench(checkout, workload, seconds, seed, trace)
     return {name: m["value"] for name, m in last["metrics"].items()}
 
 

@@ -16,33 +16,22 @@ it writes into the repository root::
 import argparse
 import json
 import os
-import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "scripts")]
 
 from asyncscope.bench import run_overhead_benchmark  # noqa: E402
-from bench_pairs import benchmark_workloads  # noqa: E402
+from bench_pairs import benchmark_workloads, run_perfbench  # noqa: E402
 
 
 def run_workload(name: str) -> tuple[dict, dict]:
     """Run one perfbench workload; return its env stamp and final line.
 
-    Exits non-zero, writing nothing, when perfbench does: a failed
-    correctness check (``"correct": false``) or a crash.
+    Exits non-zero, writing nothing, unless perfbench exits 0 with
+    ``"correct": true`` on its final line.
     """
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", name, "--seed", "1",
-         "--seconds", "30", "--trace", "0"],
-        cwd=ROOT, capture_output=True, text=True,
-    )
-    if proc.returncode != 0:
-        sys.exit(f"perfbench {name} exited {proc.returncode}; nothing written\n"
-                 f"{proc.stdout}{proc.stderr}")
-    out = proc.stdout.splitlines()
-    env = next(line for line in out if line.startswith("env: "))
-    return json.loads(env[len("env: "):]), json.loads(out[-1])
+    return run_perfbench(ROOT, name, 30, 1, 0)
 
 
 def main(argv=None) -> None:

@@ -9,6 +9,9 @@ A session's Schedule events share few distinct contexts, so each context
 is written once: a `PD2|CTX|<id>|<frames>` line defines it just before
 the first Schedule that uses it, ids count up from 0 in that order, and
 a Schedule's context field holds only the id.
+
+The reader takes only the bytes `encode_session` writes: any other form
+of a record or a field fails at its line.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ MAGIC = "PD2"
 _EVENT_FIELDS = 12  # PD2|EV|seq|ts|kind|mech|key|tid|ptid|is_main|context id|detail
 _CONTEXT_FIELDS = 4  # PD2|CTX|id|frames
 _CTX = f"{MAGIC}|CTX|"
+_RAW_SEMICOLON = "';' outside a context's frames must be written %3B"
 
 
 class TraceLogError(Exception):
@@ -146,22 +150,16 @@ def count_contexts(data: bytes) -> int:
     return data.count(f"\n{_CTX}".encode())
 
 
-def _parse_int(text: str, what: str, line_no: int, minimum: int = 0) -> int:
+def _parse_int(text: str, what: str, line_no: int) -> int:
+    """The non-negative int that ``text`` is the ``str`` of, as
+    ``encode_session`` writes it: a sign, a space, an underscore, a
+    leading zero or a non-ASCII digit is refused, naming that spelling."""
     try:
         value = int(text)
     except ValueError:
         raise MalformedLine(f"{what} is not an integer: {text!r}", line_no) from None
-    if value < minimum:
-        raise MalformedLine(f"{what} below {minimum}: {value}", line_no)
-    return value
-
-
-def _parse_exact(text: str, what: str, line_no: int) -> int:
-    """``_parse_int`` for a field read once per file or per distinct
-    thread: the text must also be the ``str`` of its value, as
-    ``encode_session`` writes it, so a sign, a space, an underscore, a
-    leading zero or a non-ASCII digit is refused."""
-    value = _parse_int(text, what, line_no)
+    if value < 0:
+        raise MalformedLine(f"{what} below 0: {value}", line_no)
     if str(value) != text:
         raise MalformedLine(f"{what} must be written {value}, got {text!r}", line_no)
     return value
@@ -173,8 +171,8 @@ _MECHANISMS["_"] = None
 
 
 def _decode_thread(tid: str, ptid: str, is_main: str, line_no: int) -> ThreadIdentity:
-    thread_id = _parse_exact(tid, "thread_id", line_no)
-    parent = None if ptid == "_" else _parse_exact(ptid, "parent_thread_id", line_no)
+    thread_id = _parse_int(tid, "thread_id", line_no)
+    parent = None if ptid == "_" else _parse_int(ptid, "parent_thread_id", line_no)
     if is_main not in ("0", "1"):
         raise MalformedLine(f"is_main must be 0 or 1, got {is_main!r}", line_no)
     try:
@@ -183,8 +181,10 @@ def _decode_thread(tid: str, ptid: str, is_main: str, line_no: int) -> ThreadIde
         raise MalformedLine(str(exc), line_no) from None
 
 
-def _decode_context(fields: list[str], next_id: str, line_no: int) -> ExecutionContext:
-    """Decode a CTX record, which must define the next id in order."""
+def _decode_context(fields: list[str], next_id: str, first_ids: dict[tuple, str],
+                    line_no: int) -> ExecutionContext:
+    """Decode a CTX record, which must define the next id in order, with
+    frames that no earlier record in ``first_ids`` (frames -> id) has."""
     if len(fields) != _CONTEXT_FIELDS:
         raise MalformedLine(
             f"expected {_CONTEXT_FIELDS} fields in a CTX record, got {len(fields)}",
@@ -192,30 +192,35 @@ def _decode_context(fields: list[str], next_id: str, line_no: int) -> ExecutionC
     if fields[2] != next_id:
         raise MalformedLine(
             f"context id {fields[2]!r} out of order, expected {next_id}", line_no)
-    return ExecutionContext(
-        tuple(_unescape(frame, line_no) for frame in fields[3].split(";")))
+    frames = tuple(_unescape(frame, line_no) for frame in fields[3].split(";"))
+    first = first_ids.setdefault(frames, next_id)
+    if first != next_id:
+        raise MalformedLine(f"context {next_id} repeats the frames of context {first}",
+                            line_no)
+    return ExecutionContext(frames)
 
 
-def _parse_events(lines: list[str]) -> list[TaskEvent]:
-    """Decode the CTX and EV lines that follow the header (line 2 onwards).
+def _parse_events(lines: list[str], semicolons: int) -> list[TaskEvent]:
+    """Decode the CTX and EV lines that follow the header (line 2 onwards),
+    which hold ``semicolons`` raw ``;`` in all.
 
     A context reference is resolved by looking its exact text up in the
-    table of ids defined so far, never by reading it as a number. Each
-    distinct thread field is decoded once and its value shared. Decoding
-    is a pure function of the text: a cache hit skips only checks that
-    already passed, and every failure is still raised at the line that
-    holds it. The loop calls no helper on a well-formed line: a key or a
-    detail is unescaped only when it holds a `%`, and each event is built
-    with `tuple.__new__`.
+    table of ids defined so far, never by reading it as a number. A thread
+    is decoded again only when its ``tid`` text comes with other fields.
+    Decoding is a pure function of the text: a cache hit skips only checks
+    that already passed, and every failure is still raised at the line
+    that holds it. The loop calls no helper on a well-formed line, and it
+    checks a CTX line's placement after the next record's own fields.
     """
     SPAWN, SCHEDULE = EventKind.SPAWN, EventKind.SCHEDULE
     kinds, mechanisms = _KINDS, _MECHANISMS
-    threads: dict[tuple[str, str, str], ThreadIdentity] = {}
+    threads: dict[str, tuple] = {}  # tid -> (ptid, is_main, thread)
     contexts: dict[str, ExecutionContext | None] = {"_": None}
+    first_ids: dict[tuple[str, ...], str] = {}
     events: list[TaskEvent] = []
     append = events.append
     new = tuple.__new__
-    last_seq = 0
+    seq = ctx_line = 0  # ctx_line: a CTX line that the next record must use
     for line_no, line in enumerate(lines, start=2):
         fields = line.split("|")
         if len(fields) != _EVENT_FIELDS or fields[1] != "EV" or fields[0] != MAGIC:
@@ -225,24 +230,32 @@ def _parse_events(lines: list[str]) -> list[TaskEvent]:
                 raise MalformedLine(
                     f"expected {_EVENT_FIELDS} fields, got {len(fields)}", line_no)
             next_id = str(len(contexts) - 1)
-            contexts[next_id] = _decode_context(fields, next_id, line_no)
+            context = contexts[next_id] = _decode_context(
+                fields, next_id, first_ids, line_no)
+            if ctx_line:
+                raise _unused(newest, ctx_line)
+            semicolons -= len(context.frames) - 1
+            newest, ctx_line = next_id, line_no
             continue
         (_, _, seq_text, ts_text, kind_text, mech_text, key,
          tid, ptid, is_main, ctx_text, detail) = fields
+        seq += 1
+        if seq_text != str(seq):  # _parse_int raises for any other spelling
+            raise NonMonotonicSeq(
+                f"seq {_parse_int(seq_text, 'seq', line_no)}, expected {seq}", line_no)
         try:
-            seq = int(seq_text)
             ts = int(ts_text)
         except ValueError:
-            seq = ts = -1
-        if seq < 1 or ts < 0:  # _parse_int raises the positioned error
-            seq = _parse_int(seq_text, "seq", line_no, minimum=1)
-            ts = _parse_int(ts_text, "timestamp", line_no)
-        kind = kinds.get(kind_text)
-        if kind is None:
-            raise UnknownKind(f"unknown event kind {kind_text!r}", line_no)
-        mech = mechanisms.get(mech_text, False)
-        if mech is False:
-            raise MalformedLine(f"unknown mechanism {mech_text!r}", line_no)
+            ts = -1
+        if ts < 0 or str(ts) != ts_text:  # _parse_int raises the positioned error
+            _parse_int(ts_text, "timestamp", line_no)
+        try:
+            kind = kinds[kind_text]
+            mech = mechanisms[mech_text]
+        except KeyError:
+            if kind_text not in kinds:
+                raise UnknownKind(f"unknown event kind {kind_text!r}", line_no) from None
+            raise MalformedLine(f"unknown mechanism {mech_text!r}", line_no) from None
         if key == "_":
             key = None
         elif "%" in key:
@@ -254,14 +267,16 @@ def _parse_events(lines: list[str]) -> list[TaskEvent]:
         elif mech is None or key is None:
             raise MalformedLine(f"{kind.value} requires mechanism and task_key", line_no)
 
-        thread = threads.get((tid, ptid, is_main))
-        if thread is None:
-            thread = threads[tid, ptid, is_main] = _decode_thread(
-                tid, ptid, is_main, line_no)
+        known = threads.get(tid)
+        if known is None or known[0] != ptid or known[1] != is_main:
+            known = threads[tid] = (
+                ptid, is_main, _decode_thread(tid, ptid, is_main, line_no))
+        thread = known[2]
 
-        ctx = contexts.get(ctx_text, False)
-        if ctx is False:
-            raise MalformedLine(f"unknown context id {ctx_text!r}", line_no)
+        try:
+            ctx = contexts[ctx_text]
+        except KeyError:
+            raise MalformedLine(f"unknown context id {ctx_text!r}", line_no) from None
         if kind is SCHEDULE:
             if ctx is None:
                 raise MalformedLine("Schedule requires a context", line_no)
@@ -272,18 +287,30 @@ def _parse_events(lines: list[str]) -> list[TaskEvent]:
             detail = None
         elif "%" in detail:
             detail = _unescape(detail, line_no)
-        if seq <= last_seq:
-            raise NonMonotonicSeq(f"seq {seq} after {last_seq}", line_no)
-        last_seq = seq
+        if ctx_line:
+            if ctx_text != newest:
+                raise _unused(newest, ctx_line)
+            ctx_line = 0
         append(new(TaskEvent, (ts, kind, mech, key, thread, ctx, detail)))
+    if ctx_line:
+        raise _unused(newest, ctx_line)
+    if semicolons:
+        raise MalformedLine(_RAW_SEMICOLON, next(
+            line_no for line_no, line in enumerate(lines, start=2)
+            if ";" in line and not line.startswith(_CTX)))
     return events
+
+
+def _unused(context_id: str, line_no: int) -> MalformedLine:
+    return MalformedLine(f"context {context_id} is not used by the next record", line_no)
 
 
 def parse_trace(data: bytes) -> TraceSession:
     """Decode a `.pdt` byte stream back into a session.
 
-    Every failure is a positioned :class:`TraceLogError`; arbitrary input
-    never escapes as another exception type.
+    Only the bytes that :func:`encode_session` writes are read; any other
+    stream fails with a positioned :class:`TraceLogError`, and arbitrary
+    input never escapes as another exception type.
     """
     try:
         text = data.decode("utf-8")
@@ -293,8 +320,8 @@ def parse_trace(data: bytes) -> TraceSession:
         line_no = text.count("\n", 0, text.index("\r")) + 1
         raise MalformedLine("carriage return in a line", line_no)
     lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
+    if lines.pop():  # what follows the last LF
+        raise MalformedLine("the last line does not end with a newline", len(lines) + 1)
     if not lines:
         raise MissingHeader("empty stream")
 
@@ -306,12 +333,15 @@ def parse_trace(data: bytes) -> TraceSession:
         raise MissingHeader(f"stream does not begin with a {MAGIC}|SESSION header")
     session_id = _unescape(header[2], 1)
     config_label = _unescape(header[3], 1)
-    clock_origin_ns = _parse_exact(header[4], "clock_origin_ns", 1)
+    clock_origin_ns = _parse_int(header[4], "clock_origin_ns", 1)
+    if ";" in lines[0]:
+        raise MalformedLine(_RAW_SEMICOLON, 1)
     return TraceSession(
         session_id=session_id,
         config_label=config_label,
         clock_origin_ns=clock_origin_ns,
-        events=tuple(_parse_events(lines[1:])),
+        # A byte count: no multi-byte UTF-8 sequence holds a ';' byte.
+        events=tuple(_parse_events(lines[1:], data.count(b";"))),
     )
 
 

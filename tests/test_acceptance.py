@@ -129,6 +129,7 @@ def test_criterion_3_decomposition_identity(capsys):
 
 
 def _oracle_correlate(events):
+    """Brute force: for each scheduled key, scan the stream linearly."""
     keys = []
     for ev in events:
         if ev.kind is EventKind.SCHEDULE:

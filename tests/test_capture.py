@@ -585,9 +585,10 @@ WALKS = {
 }
 
 
-@pytest.mark.parametrize("depth", [DEFAULT_CAPTURE_DEPTH])
-@pytest.mark.parametrize("case", CASES, ids=[c.__name__ for c in CASES])
-def test_capture_equals_uncached_walk(case, depth):
+# Each id names the depth its case runs at.
+@pytest.mark.parametrize("case", CASES,
+                         ids=[f"{c.__name__}-{DEFAULT_CAPTURE_DEPTH}" for c in CASES])
+def test_capture_equals_uncached_walk(case):
     session = OracleSession(clock=VirtualClock())
     case(session)
     session.drain()
@@ -595,7 +596,7 @@ def test_capture_equals_uncached_walk(case, depth):
     assert session.oracle.captures == captures
     assert session.capture_walks <= walks
     assert session.oracle.mismatches == []
-    assert all(len(context.frames) <= depth
+    assert all(len(context.frames) <= DEFAULT_CAPTURE_DEPTH
                for context, _ in session.oracle.returned)
 
 
@@ -637,7 +638,7 @@ DISPATCH_CASES = [dispatch_depths, module_chains, two_loops, nested_dispatch]
 
 
 @pytest.mark.parametrize("case", DISPATCH_CASES, ids=[c.__name__ for c in DISPATCH_CASES])
-def test_dispatch_tail_on_a_short_stack(case):
+def test_dispatch_captures_agree_on_a_short_stack(case):
     """Drained on a thread of its own, whose stack below each dispatch loop
     is short, captures above a loop end at its frame: they agree with the
     uncached walk, and name the same frames as on the test runner's deep

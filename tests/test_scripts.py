@@ -14,6 +14,7 @@ from asyncscope.bench import OverheadResult
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
+DIGEST = ROOT / "tests" / "data" / "trace_digest.txt"
 
 
 def _load(name):
@@ -23,17 +24,37 @@ def _load(name):
     return module
 
 
-def test_bench_snapshot_refuses_a_failed_perfbench_run(monkeypatch):
+def _snapshot_of_a_run(monkeypatch, code, last):
+    """Load bench_snapshot with perfbench stubbed to exit ``code`` after
+    printing its env stamp and ``last``."""
     snapshot = _load("bench_snapshot")
-    out = 'env: {"python": "3"}\n{"correct": false, "metrics": {}}\n'
+    out = f'env: {{"python": "3"}}\n{last}\n'
 
-    def failed_run(args, **kwargs):
-        return subprocess.CompletedProcess(args, 1, stdout=out, stderr="")
+    def run(args, **kwargs):
+        return subprocess.CompletedProcess(args, code, stdout=out, stderr="")
 
-    monkeypatch.setattr(snapshot.subprocess, "run", failed_run)
+    monkeypatch.setattr(subprocess, "run", run)
+    return snapshot
+
+
+def test_bench_snapshot_refuses_a_failed_perfbench_run(monkeypatch):
+    snapshot = _snapshot_of_a_run(monkeypatch, 1, '{"correct": false, "metrics": {}}')
     with pytest.raises(SystemExit) as exc_info:
         snapshot.run_workload("live_pool")
-    assert "live_pool exited 1" in str(exc_info.value.code)
+    assert f"perfbench live_pool in {snapshot.ROOT} exited 1" in str(exc_info.value.code)
+
+
+def test_bench_snapshot_refuses_a_run_that_exits_0_but_is_not_correct(monkeypatch):
+    snapshot = _snapshot_of_a_run(monkeypatch, 0, '{"correct": false, "metrics": {}}')
+    with pytest.raises(SystemExit) as exc_info:
+        snapshot.run_workload("live_pool")
+    assert 'exited 0 without "correct": true' in str(exc_info.value.code)
+
+
+def test_bench_snapshot_reads_the_env_stamp_and_final_line(monkeypatch):
+    snapshot = _snapshot_of_a_run(monkeypatch, 0, '{"correct": true, "metrics": {}}')
+    assert snapshot.run_workload("live_pool") == (
+        {"python": "3"}, {"correct": True, "metrics": {}})
 
 
 def _overhead_result():
@@ -210,6 +231,9 @@ def test_trace_digest_runs_without_pythonpath(tmp_path):
     lines = proc.stdout.splitlines()
     assert len(lines) == 37
     assert lines[-1].endswith("  (all)")
+    assert proc.stdout == (DIGEST.read_text()), (
+        "a scenario's trace or report bytes changed: if on purpose, rewrite "
+        "tests/data/ with scripts/regen_goldens.py and review the diff")
 
 
 def test_trace_digest_names_a_scenario_whose_json_is_not_json_dumps(monkeypatch, capsys):

@@ -15,12 +15,12 @@ from asyncscope.trace_model import (
     Mechanism,
     OrderViolation,
     TaskEvent,
-    TaskRecord,
     ThreadIdentity,
     correlate,
     latency,
     queuing_time,
 )
+from test_acceptance import _oracle_correlate
 
 MAIN = ThreadIdentity(1, None, True)
 WORKER = ThreadIdentity(2, 1, False)
@@ -129,41 +129,6 @@ def test_queuing_edge_values():
 def test_anr_scale_latency_value():
     (rec,) = correlate([_sched("a", 0), _start("a", 0), _end("a", 10_000_000_000)])
     assert latency(rec) == 10_000_000_000
-
-
-def _oracle_correlate(events):
-    """Brute force: for each scheduled key, scan the stream linearly."""
-    keys = []
-    for ev in events:
-        if ev.kind is EventKind.SCHEDULE:
-            keys.append((ev.mechanism, ev.task_key))
-    records = []
-    for mech, key in keys:
-        request = start = end = None
-        requested_by = executed_on = None
-        cancelled = False
-        ctx = None
-        for ev in events:
-            if (ev.mechanism, ev.task_key) != (mech, key):
-                continue
-            if ev.kind is EventKind.SCHEDULE:
-                request, requested_by, ctx = ev.timestamp_ns, ev.thread, ev.context
-            elif ev.kind is EventKind.START:
-                start, executed_on = ev.timestamp_ns, ev.thread
-            elif ev.kind is EventKind.END:
-                end = ev.timestamp_ns
-            elif ev.kind is EventKind.CANCEL:
-                cancelled = True
-                if start is not None:
-                    end = ev.timestamp_ns
-        records.append(TaskRecord(
-            task_key=key, mechanism=mech, context=ctx,
-            requested_by=requested_by, request_ns=request,
-            executed_on=executed_on, start_ns=start, end_ns=end,
-            cancelled=cancelled,
-        ))
-    records.sort(key=lambda r: (r.request_ns, keys.index((r.mechanism, r.task_key))))
-    return records
 
 
 _SHARED_KEY_MECHANISMS = (Mechanism.POOL_EXECUTOR, Mechanism.SERIAL_SERVICE)

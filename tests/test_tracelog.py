@@ -96,7 +96,7 @@ def test_non_monotonic_seq_positioned():
     data = ("\n".join(lines) + "\n").encode()
     with pytest.raises(NonMonotonicSeq) as exc_info:
         parse_trace(data)
-    assert exc_info.value.line_no == 5
+    assert exc_info.value.line_no == 4
 
 
 def _three_events():
@@ -257,9 +257,9 @@ _BAD_VALUES = ("", "x", "-1", "%", "%+f", _BIG)
 # the `_repeated_events` trace (lines 3-8): the error class and message at
 # the mutated line, or None when the trace parses. Written from the parser
 # as it was before its loop stopped calling a helper per field, so the
-# table pins every check's order. The one difference is the malformed
+# table pins every check's order. The differences are the malformed
 # escape "%+f" in a key (field 6) or detail (field 11), which that parser
-# decoded as "\x0f".
+# decoded as "\x0f", and seq, now read as the record's ordinal.
 _PARSE_OUTCOMES = {
     (0, ""): (MalformedLine, "not a PD2|EV or PD2|CTX record"),
     (0, "x"): (MalformedLine, "not a PD2|EV or PD2|CTX record"),
@@ -275,10 +275,10 @@ _PARSE_OUTCOMES = {
     (1, _BIG): (MalformedLine, "not a PD2|EV or PD2|CTX record"),
     (2, ""): (MalformedLine, "seq is not an integer: ''"),
     (2, "x"): (MalformedLine, "seq is not an integer: 'x'"),
-    (2, "-1"): (MalformedLine, "seq below 1: -1"),
+    (2, "-1"): (MalformedLine, "seq below 0: -1"),
     (2, "%"): (MalformedLine, "seq is not an integer: '%'"),
     (2, "%+f"): (MalformedLine, "seq is not an integer: '%+f'"),
-    (2, _BIG): None,
+    # (2, _BIG) names the line's ordinal: see _LINE_OUTCOMES.
     (3, ""): (MalformedLine, "timestamp is not an integer: ''"),
     (3, "x"): (MalformedLine, "timestamp is not an integer: 'x'"),
     (3, "-1"): (MalformedLine, "timestamp below 0: -1"),
@@ -334,18 +334,32 @@ _PARSE_OUTCOMES = {
     (11, "%+f"): (MalformedLine, "bad escape %'+f'"),
     (11, _BIG): None,
     # Spellings of a number that int() reads and encode_session never
-    # writes: each thread field refuses them, naming the one it writes.
+    # writes: each integer field refuses them, naming the one it writes.
+    (2, "+1"): (MalformedLine, "seq must be written 1, got '+1'"),
+    (2, " 1"): (MalformedLine, "seq must be written 1, got ' 1'"),
+    (2, "1_0"): (MalformedLine, "seq must be written 10, got '1_0'"),
+    (2, "\u0662"): (MalformedLine, "seq must be written 2, got '\u0662'"),
+    (2, "007"): (MalformedLine, "seq must be written 7, got '007'"),
+    (2, "-0"): (MalformedLine, "seq must be written 0, got '-0'"),
+    (3, "+1"): (MalformedLine, "timestamp must be written 1, got '+1'"),
+    (3, " 1"): (MalformedLine, "timestamp must be written 1, got ' 1'"),
+    (3, "1_0"): (MalformedLine, "timestamp must be written 10, got '1_0'"),
+    (3, "\u0662"): (MalformedLine, "timestamp must be written 2, got '\u0662'"),
+    (3, "007"): (MalformedLine, "timestamp must be written 7, got '007'"),
+    (3, "-0"): (MalformedLine, "timestamp must be written 0, got '-0'"),
     (7, "+1"): (MalformedLine, "thread_id must be written 1, got '+1'"),
     (7, " 1"): (MalformedLine, "thread_id must be written 1, got ' 1'"),
     (7, "1_0"): (MalformedLine, "thread_id must be written 10, got '1_0'"),
     (7, "\u0662"): (MalformedLine, "thread_id must be written 2, got '\u0662'"),
     (7, "007"): (MalformedLine, "thread_id must be written 7, got '007'"),
+    (7, "-0"): (MalformedLine, "thread_id must be written 0, got '-0'"),
     (8, "+1"): (MalformedLine, "parent_thread_id must be written 1, got '+1'"),
     (8, " 1"): (MalformedLine, "parent_thread_id must be written 1, got ' 1'"),
     (8, "1_0"): (MalformedLine, "parent_thread_id must be written 10, got '1_0'"),
     (8, "\u0662"): (MalformedLine,
                     "parent_thread_id must be written 2, got '\u0662'"),
     (8, "007"): (MalformedLine, "parent_thread_id must be written 7, got '007'"),
+    (8, "-0"): (MalformedLine, "parent_thread_id must be written 0, got '-0'"),
     # Escapes that decode and that encode_session never writes, lowercase
     # or needless: a key or a detail refuses them, naming the one it writes.
     (6, "a%7cb"): (MalformedLine, "escape must be written 'a%7Cb', got 'a%7cb'"),
@@ -353,17 +367,15 @@ _PARSE_OUTCOMES = {
     (11, "a%7cb"): (MalformedLine, "escape must be written 'a%7Cb', got 'a%7cb'"),
     (11, "%41"): (MalformedLine, "escape must be written 'A', got '%41'"),
 }
-_SPELLINGS = ("+1", " 1", "1_0", "\u0662", "007")
+_SPELLINGS = ("+1", " 1", "1_0", "\u0662", "007", "-0")
 _ESCAPES = ("a%7cb", "%41")
-# Where a line's own role changes the outcome: a seq above every later
-# one fails at the next line, a Spawn (line 4) carries no task key, and
+# Where a line's own role changes the outcome: a seq that is not the
+# record's ordinal names it, a Spawn (line 4) carries no task key, and
 # a parent id is refused only for the main thread (lines 3, 5 and 8).
 _LINE_OUTCOMES = {
-    (3, 2, _BIG): (4, NonMonotonicSeq, f"seq 2 after {_BIG}"),
-    (4, 2, _BIG): (5, NonMonotonicSeq, f"seq 3 after {_BIG}"),
-    (5, 2, _BIG): (6, NonMonotonicSeq, f"seq 4 after {_BIG}"),
-    (6, 2, _BIG): (7, NonMonotonicSeq, f"seq 5 after {_BIG}"),
-    (7, 2, _BIG): (8, NonMonotonicSeq, f"seq 6 after {_BIG}"),
+    **{(line_no, 2, _BIG): (line_no, NonMonotonicSeq,
+                            f"seq {_BIG}, expected {line_no - 2}")
+       for line_no in range(3, 9)},
     (4, 6, ""): (4, MalformedLine, "Spawn must not carry mechanism/task_key"),
     (4, 6, "x"): (4, MalformedLine, "Spawn must not carry mechanism/task_key"),
     (4, 6, "-1"): (4, MalformedLine, "Spawn must not carry mechanism/task_key"),
@@ -407,6 +419,97 @@ def test_thread_fields_take_only_what_encode_writes(line_no, field):
 
 
 @pytest.mark.parametrize("line_no", range(3, 9))
+@pytest.mark.parametrize("field", [2, 3])
+def test_seq_and_ts_take_only_what_encode_writes(line_no, field):
+    """``seq`` and ``ts``, read on every line, refuse the spellings that
+    the thread fields refuse, naming the one the writer uses."""
+    for value in _SPELLINGS:
+        _assert_mutation_fails(line_no, field, value, *_PARSE_OUTCOMES[field, value])
+
+
+@pytest.mark.parametrize("line_no, value", [(5, "4"), (5, "2"), (3, "0"), (8, "5")])
+def test_seq_is_the_records_ordinal(line_no, value):
+    """A gap, a repeat or a jump in ``seq`` fails at its own line."""
+    _assert_mutation_fails(line_no, 2, value, NonMonotonicSeq,
+                           f"seq {value}, expected {line_no - 2}")
+
+
+@pytest.mark.parametrize("data, line_no", [
+    (encode_session(_session(_repeated_events()))[:-1], 8),
+    (b"PD2|SESSION|s|cfg|0", 1),
+])
+def test_last_line_must_end_with_a_newline(data, line_no):
+    with pytest.raises(MalformedLine) as exc_info:
+        parse_trace(data)
+    assert exc_info.value.line_no == line_no
+    assert str(exc_info.value) == (
+        f"line {line_no}: the last line does not end with a newline")
+
+
+@pytest.mark.parametrize("line_no, field, value", [
+    (1, 2, "s;1"), (1, 3, ";"), (5, 6, "POOL;2"), (4, 11, "a;b"), (8, 11, ";"),
+])
+def test_raw_semicolon_outside_the_frames_positioned(line_no, field, value):
+    """The writer escapes every ``;`` in the session id, the config label,
+    a key or a detail; only a CTX record's frames are split by one."""
+    _assert_mutation_fails(line_no, field, value, MalformedLine,
+                           "';' outside a context's frames must be written %3B")
+
+
+def _two_sites(line_no=None, line=None):
+    """Lines 2-6: CTX 0, its Schedule, a Spawn, CTX 1, its Schedule; with
+    ``line`` in place of line ``line_no``."""
+    pool = Mechanism.POOL_EXECUTOR
+    lines = encode_session(_session([
+        TaskEvent(0, EventKind.SCHEDULE, pool, "POOL#1", MAIN, _SITE),
+        TaskEvent(1, EventKind.SPAWN, None, None, _WORKER),
+        TaskEvent(2, EventKind.SCHEDULE, pool, "POOL#2", MAIN,
+                  ExecutionContext(("x:y:1",))),
+    ])).decode().splitlines()
+    if line_no is not None:
+        lines[line_no - 1] = line
+    return lines
+
+
+def _moved(lines, source, target):
+    """``lines`` with the line at 1-based ``source`` moved to ``target``."""
+    lines = list(lines)
+    lines.insert(target - 1, lines.pop(source - 1))
+    return lines
+
+
+@pytest.mark.parametrize("lines, line_no, message", [
+    (_two_sites() + ["PD2|CTX|2|z:z:1"], 7, "context 2 is not used by the next record"),
+    (_moved(_two_sites() + ["PD2|CTX|1|z:z:1"], 7, 4), 4,
+     "context 1 is not used by the next record"),
+    (_moved(_two_sites(), 5, 4), 4, "context 1 is not used by the next record"),
+    (_moved(_two_sites(), 5, 3), 2, "context 0 is not used by the next record"),
+    (_two_sites(6, "PD2|EV|3|2|SCHED|POOL|POOL#2|1|_|1|0|_"), 5,
+     "context 1 is not used by the next record"),
+    (_two_sites(5, "PD2|CTX|1|m:f:1;a%25b:g:2"), 5,
+     "context 1 repeats the frames of context 0"),
+])
+def test_a_context_record_only_where_the_writer_puts_it(lines, line_no, message):
+    """A CTX record comes just before the Schedule that first uses it, and
+    its frames are no earlier record's: a record that is unused (last or
+    not), written early, followed by another CTX record or by a Schedule
+    of an older context, or that repeats an earlier context's frames fails
+    at its own line."""
+    with pytest.raises(MalformedLine) as exc_info:
+        parse_trace(("\n".join(lines) + "\n").encode())
+    assert str(exc_info.value) == f"line {line_no}: {message}"
+
+
+def test_a_context_records_placement_is_checked_after_the_next_record():
+    """The record after an unused CTX record fails for its own fault first."""
+    lines = _moved(_two_sites() + ["PD2|CTX|1|z:z:1"], 7, 4)
+    lines[4] = lines[4].replace("|SPAWN|", "|BOING|")
+    with pytest.raises(UnknownKind) as exc_info:
+        parse_trace(("\n".join(lines) + "\n").encode())
+    assert exc_info.value.line_no == 5
+
+
+@pytest.mark.parametrize("line_no", range(3, 9))
 @pytest.mark.parametrize("field", [6, 11])
 def test_keys_and_details_take_only_what_encode_writes(line_no, field):
     """An escape that the writer would spell otherwise fails at its line,
@@ -431,7 +534,7 @@ def test_header_and_frames_take_only_what_encode_writes(line_no, field, value,
     parse_trace(_mutated(line_no, field, "%5F"))
 
 
-@pytest.mark.parametrize("value", _SPELLINGS + ("-0",))
+@pytest.mark.parametrize("value", _SPELLINGS)
 def test_clock_origin_takes_only_what_encode_writes(value):
     number = int(value)
     _assert_mutation_fails(1, 4, value, MalformedLine,
@@ -526,6 +629,82 @@ def test_encode_of_parse_returns_the_same_bytes():
         data = encode_session(session)
         assert encode_session(parse_trace(data)) == data
     assert encode_session(sessions[-1]).count(b"|CTX|") == 1
+
+
+# Other ways to write a field, by the fields they suit (keyed by how many
+# fields a header, a CTX or an EV line has).
+_NUMBER_FIELDS = {5: (4,), 4: (2,), 12: (2, 3, 7, 8, 9, 10)}
+_NUMBER_RESPELLINGS = (
+    lambda v: "+" + v, lambda v: "-" + v, lambda v: "0" + v, lambda v: " " + v,
+    lambda v: v + " ", lambda v: v[:1] + "_" + v[1:], lambda v: "\u0660" + v,
+    lambda v: "",
+)
+_TEXT_FIELDS = {5: (2, 3), 4: (3,), 12: (4, 5, 6, 11)}
+_TEXT_RESPELLINGS = (
+    lambda v: v.lower(), lambda v: v.replace(":", "%3A"), lambda v: "%5F",
+    lambda v: "", lambda v: v + "%",
+)
+_EDITS = ("number", "text", "semicolon", "swap", "delete", "duplicate", "context",
+          "frames", "end")
+
+
+@st.composite
+def _edited_streams(draw, how):
+    """An encoded session with one edit of kind ``how``: a number or a text
+    field respelled, a raw ``;`` put in a text field, a line swapped with
+    the next, deleted or duplicated, a CTX line inserted with the id that
+    comes next there or given an earlier one's frames, or the last LF
+    dropped."""
+    lines = encode_session(draw(_sessions())).decode().split("\n")[:-1]
+    at = draw(st.integers(0, len(lines) - 1))
+    fields = lines[at].split("|")
+    contexts = [i for i, line in enumerate(lines) if line.startswith("PD2|CTX|")]
+    if how in ("number", "text"):
+        field = draw(st.sampled_from(
+            (_NUMBER_FIELDS if how == "number" else _TEXT_FIELDS)[len(fields)]))
+        respell = draw(st.sampled_from(
+            _NUMBER_RESPELLINGS if how == "number" else _TEXT_RESPELLINGS))
+        fields[field] = respell(fields[field])
+        lines[at] = "|".join(fields)
+    elif how == "semicolon":
+        field = draw(st.sampled_from(_TEXT_FIELDS[len(fields)]))
+        cut = draw(st.integers(0, len(fields[field])))
+        fields[field] = fields[field][:cut] + ";" + fields[field][cut:]
+        lines[at] = "|".join(fields)
+    elif how == "swap":
+        lines[at:at + 2] = lines[at:at + 2][::-1]
+    elif how == "delete":
+        del lines[at]
+    elif how == "duplicate":
+        lines.insert(at, lines[at])
+    elif how == "context":
+        at += draw(st.integers(0, 1))  # up to just past the last line
+        frames = draw(st.sampled_from(
+            ["m:f:1"] + [lines[i].split("|", 3)[3] for i in contexts]))
+        lines.insert(at, f"PD2|CTX|{sum(i < at for i in contexts)}|{frames}")
+    elif how == "frames" and len(contexts) > 1:
+        later = draw(st.sampled_from(contexts[1:]))
+        earlier = draw(st.sampled_from([i for i in contexts if i < later]))
+        lines[later] = "|".join(lines[later].split("|", 3)[:3]
+                                + lines[earlier].split("|", 3)[3:])
+    return ("\n".join(lines) + ("" if how == "end" else "\n")).encode()
+
+
+@pytest.mark.parametrize("how", _EDITS)
+@settings(max_examples=100)
+@given(data=st.data())
+def test_a_stream_that_parses_is_what_encode_writes(how, data):
+    """The converse of the round trip, over 900 edited streams: each is
+    refused at a line it has, or is the bytes that ``encode_session``
+    writes for what it parses to."""
+    stream = data.draw(_edited_streams(how))
+    try:
+        session = parse_trace(stream)
+    except TraceLogError as exc:
+        assert 1 <= exc.line_no <= stream.count(b"\n") + 1 or (
+            type(exc) is MissingHeader and exc.line_no == 0)
+    else:
+        assert encode_session(session) == stream
 
 
 @settings(max_examples=300)
