@@ -203,6 +203,18 @@ class _Capture:
     live key can be reused; a new stack takes the blank context in one
     ``setdefault``, which hashes the key once and no code object.
 
+    Beside the held frame the unit keeps at most one fast entry, for a loop
+    that submits through one call level. The first hit whose first user
+    frame is where the capture starts and is called by the held frame keeps
+    that frame's code and globals, its ``f_lasti``, the held frame's
+    ``f_lasti`` and the context. A later capture that starts on a frame the
+    held frame calls, with that code and globals, and with both frames at
+    those instructions, has those raw tuples (a module is named by its
+    globals, read once, not by each read of their ``__name__``), so it
+    returns the context without reading a module name or building a key.
+    The entry lives in ``_held``'s tuple, so that every change of the held
+    frame, and ``resolve``, clears it; it holds no frame of its own.
+
     A capture walks its own thread's stack and stops at the engine frame
     that ran it: ``stop``, the frame of the virtual engine's running
     dispatch loop, which the engine sets while its loop runs, or None. The
@@ -217,7 +229,7 @@ class _Capture:
     """
 
     def __init__(self) -> None:
-        self._held = (None, None)
+        self._held = (None, None, None)
         self.stop = None
         self.walks = 0
         self._contexts: dict[tuple, tuple[ExecutionContext, list]] = {}
@@ -230,13 +242,18 @@ class _Capture:
         passes the depth of the frame that called the submission API, past
         the frames of its own path, and calls with the session's lock held.
         A stack with no frame that far out has no user frame."""
-        depth = DEFAULT_CAPTURE_DEPTH
-        held, known = self._held
-        stop = self.stop
-        raw, codes = [], []
+        held, known, fast = self._held
+        raw = codes = ()  # the walk of a stack shallower than skip
         key = last = None
         try:
-            f = sys._getframe(skip)
+            start = f = sys._getframe(skip)
+            if fast is not None:
+                code, names, lasti, held_lasti, context = fast
+                if (f.f_back is held and f.f_code is code and f.f_globals is names
+                        and f.f_lasti == lasti and held.f_lasti == held_lasti):
+                    return context
+            depth, stop = DEFAULT_CAPTURE_DEPTH, self.stop
+            raw, codes = [], []
             while f is not stop and len(codes) < 2:
                 module = f.f_globals.get("__name__", "?")
                 if not _is_internal[module]:
@@ -247,6 +264,11 @@ class _Capture:
                         key = tuple(raw)
                         context = known.get(key)
                         if context is not None:
+                            if (fast is None and last is start
+                                    and start.f_back is held):
+                                self._held = (held, known, (
+                                    codes[0], start.f_globals, raw[0][2],
+                                    raw[1][2], context))
                             return context
                     last = f
                 f = f.f_back
@@ -279,7 +301,7 @@ class _Capture:
             if again is None:
                 again = _can_repeat(raw[1], codes[1])
             if again:
-                self._held = (last, {raw[:2]: context})
+                self._held = (last, {raw[:2]: context}, None)
                 return context
         if raw:
             again = _repeats.get(raw[0])
@@ -287,19 +309,19 @@ class _Capture:
                 again = _can_repeat(raw[0], codes[0])
             if again:
                 if len(raw) > 1:  # find the inner frame, which is not last
-                    last = sys._getframe(skip)
+                    last = start
                     while _is_internal[last.f_globals.get("__name__", "?")]:
                         last = last.f_back
-                self._held = (last, {raw[:1]: context})
+                self._held = (last, {raw[:1]: context}, None)
                 return context
-        self._held = (None, None)
+        self._held = (None, None, None)
         return context
 
     def resolve(self, log: list) -> None:
         """Name and number the table's contexts' frames, as
         ``module:symbol:line``, and let go of the held frame and the table."""
         contexts, self._contexts = self._contexts, {}
-        self._held = (None, None)
+        self._held = (None, None, None)
         by_frames: dict[tuple, ExecutionContext] = {}
         merged: dict[int, ExecutionContext] = {}
         for raw, (context, codes) in contexts.items():
@@ -540,9 +562,10 @@ class ProfilerSession:
     @property
     def capture_walks(self) -> int:
         """How many context captures walked the stack in full, rather than
-        returning a context held for a live frame. A walk inside the virtual
-        engine's dispatch loop ends at the loop's frame and still counts as
-        a full walk. Not written to the trace."""
+        returning a context held for a live frame; a return from the fast
+        entry is not a walk. A walk inside the virtual engine's dispatch
+        loop ends at the loop's frame and still counts as a full walk. Not
+        written to the trace."""
         return self._capture.walks
 
     # -- thread identities ------------------------------------------------

@@ -330,7 +330,7 @@ def parse_trace(data: bytes) -> TraceSession:
         raise MissingHeader(
             f"trace version {header[0]!r} is not read; this reader takes {MAGIC}", 1)
     if len(header) != 5 or header[0] != MAGIC or header[1] != "SESSION":
-        raise MissingHeader(f"stream does not begin with a {MAGIC}|SESSION header")
+        raise MissingHeader(f"stream does not begin with a {MAGIC}|SESSION header", 1)
     session_id = _unescape(header[2], 1)
     config_label = _unescape(header[3], 1)
     clock_origin_ns = _parse_int(header[4], "clock_origin_ns", 1)

@@ -119,18 +119,34 @@ def user_frames(f, n):
     return frames
 
 
+class _Lookups(dict):
+    """A held frame's memo that counts its lookups."""
+
+    def __init__(self, known):
+        super().__init__(known)
+        self.gets = 0
+
+    def get(self, key, default=None):
+        self.gets += 1
+        return super().get(key, default)
+
+
 class _OracleCapture(_Capture):
     def __init__(self):
         super().__init__()
         self.captures = 0
         self.held = 0  # frames held, each hold counted once
+        # Captures that returned with no walk, no lookup in the held frame's
+        # memo and no change to _held: from the fast entry.
+        self.fast = 0
         self.mismatches = []
         self.returned = []  # (context, the uncached walk's triples)
         self.in_loop = []  # per capture, whether a dispatch loop ran it
         # Raw stack -> the context first returned for it, and its code
         # objects, kept so that no id in a key here can be reused.
         self.by_raw = {}
-        # The memo of the frame held last: a new one means a new hold.
+        # The memo of the frame held last, in place of the unit's: a new
+        # one means a new hold.
         self._known = None
 
     def context(self, skip):
@@ -140,9 +156,13 @@ class _OracleCapture(_Capture):
         # _register_task, so it is passed ``skip + 1``.
         want, raw, codes = uncached_walk(sys._getframe(2), DEFAULT_CAPTURE_DEPTH)
         head = user_frames(sys._getframe(2), 2)
-        before, walks = self._held[0], self.walks
+        held, walks = self._held, self.walks
+        before, gets = held[0], getattr(held[1], "gets", 0)
         got = super().context(skip + 1)
         self.captures += 1
+        if (self.walks == walks and self._held is held
+                and getattr(held[1], "gets", 0) == gets):
+            self.fast += 1
         self.returned.append((got, want))
         self.in_loop.append(dispatch_loop(sys._getframe(2)) is not None)
         # A repeated raw stack returns the object it returned before.
@@ -159,7 +179,8 @@ class _OracleCapture(_Capture):
             if self._held[0] is not expect:
                 self.mismatches.append(("held", got, want))
         if self._held[0] is not None and self._held[1] is not self._known:
-            self._known = self._held[1]
+            self._known = _Lookups(self._held[1])
+            self._held = (self._held[0], self._known, self._held[2])
             self.held += 1
         return got
 
@@ -585,6 +606,25 @@ WALKS = {
 }
 
 
+# Captures per case that return the fast entry's context. A loop that
+# submits through one call level keeps an entry for the first site that
+# hits below its held frame, and each later capture from that site returns
+# from it: through the helper (helper, deep, alternating, nested_loops),
+# one line's first call of two (one_line_two_calls) and one module's of
+# one code's two (one_code_two_modules). A capture whose first user frame
+# is the held frame (loop, two_lines, comprehension, looping_helper)
+# hits the memo instead.
+FAST = {
+    "loop": 0, "two_lines": 0, "helper": 8, "recursion": 0,
+    "direct_recursion": 0, "generators": 0, "nested": 12, "deep": 8,
+    "alternating": 8, "foreign": 2, "one_line_two_calls": 8,
+    "one_code_two_modules": 3, "dropped_helpers": 1, "no_user_frame": 0,
+    "while_loop": 0, "retry": 16, "comprehension": 0, "looping_helper": 0,
+    "nested_loops": 18, "dispatch_depths": 0, "module_chains": 0,
+    "two_loops": 0, "nested_dispatch": 0,
+}
+
+
 # Each id names the depth its case runs at.
 @pytest.mark.parametrize("case", CASES,
                          ids=[f"{c.__name__}-{DEFAULT_CAPTURE_DEPTH}" for c in CASES])
@@ -598,6 +638,7 @@ def test_capture_equals_uncached_walk(case):
     assert session.oracle.mismatches == []
     assert all(len(context.frames) <= DEFAULT_CAPTURE_DEPTH
                for context, _ in session.oracle.returned)
+    assert session.oracle.fast == FAST[case.__name__]
 
 
 def _on_a_new_thread(fn, *args):
@@ -1289,6 +1330,30 @@ def test_anchor_released_at_drain_timeout():
     with pytest.raises(DrainTimeout):
         session.drain(timeout_s=1.0)
     assert ref() is None
+
+
+@pytest.mark.parametrize("release", ["another_site", "drain"])
+@pytest.mark.parametrize("clock", [VirtualClock, RealMonotonicClock],
+                         ids=["virtual", "real"])
+def test_fast_entry_pins_nothing_the_held_frame_does_not(clock, release):
+    """The loop's frame is held with a fast entry for its helper's site. A
+    local of that frame dies by refcount, with no collection, as soon as a
+    capture from another site replaces the held frame, or at drain."""
+    session = ProfilerSession(clock=clock())
+    gc.disable()
+    try:
+        ref = _submit_from_loop(session, _task("t"))
+        assert session._capture._held[2] is not None
+        assert ref() is not None
+        if release == "another_site":
+            _submit(session.pool_executor(core_size=1, max_size=1),
+                    _task("elsewhere"))
+        else:
+            session.drain(timeout_s=10)
+        assert ref() is None
+    finally:
+        gc.enable()
+    session.drain(timeout_s=10)
 
 
 def _site(pool, refs):

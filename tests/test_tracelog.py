@@ -84,10 +84,14 @@ def test_header_only_round_trip():
 
 
 def test_missing_header():
-    with pytest.raises(MissingHeader):
+    """An empty stream is at fault as a whole; any other names its first
+    line."""
+    with pytest.raises(MissingHeader) as empty:
         parse_trace(b"")
-    with pytest.raises(MissingHeader):
+    assert empty.value.line_no == 0
+    with pytest.raises(MissingHeader) as other:
         parse_trace(b"not a trace\n")
+    assert other.value.line_no == 1
 
 
 def test_non_monotonic_seq_positioned():
@@ -702,7 +706,7 @@ def test_a_stream_that_parses_is_what_encode_writes(how, data):
         session = parse_trace(stream)
     except TraceLogError as exc:
         assert 1 <= exc.line_no <= stream.count(b"\n") + 1 or (
-            type(exc) is MissingHeader and exc.line_no == 0)
+            stream == b"" and type(exc) is MissingHeader and exc.line_no == 0)
     else:
         assert encode_session(session) == stream
 
