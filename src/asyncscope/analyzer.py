@@ -25,10 +25,6 @@ class AnalyzerError(Exception):
     pass
 
 
-class NoMainThread(AnalyzerError):
-    pass
-
-
 class MultipleMainThreads(AnalyzerError):
     pass
 
@@ -151,7 +147,8 @@ class Warning:
 
 
 def build_lineage(events: tuple[TaskEvent, ...] | list[TaskEvent]) -> LineageSet:
-    """Transitive closure of spawn edges rooted at the main thread."""
+    """Transitive closure of spawn edges rooted at the main thread; empty
+    when no event is on the main thread."""
     parents: dict[int, int | None] = {}
     main_ids: set[int] = set()
     for ev in events:
@@ -159,17 +156,14 @@ def build_lineage(events: tuple[TaskEvent, ...] | list[TaskEvent]) -> LineageSet
         parents.setdefault(t.thread_id, t.parent_thread_id)
         if t.is_main:
             main_ids.add(t.thread_id)
-    if not main_ids:
-        raise NoMainThread("trace has no main thread")
     if len(main_ids) > 1:
         raise MultipleMainThreads(f"trace has {len(main_ids)} main threads")
-    main_id = main_ids.pop()
     children: dict[int, list[int]] = {}
     for tid, parent in parents.items():
         if parent is not None:
             children.setdefault(parent, []).append(tid)
-    offspring = {main_id}
-    frontier = [main_id]
+    offspring = set(main_ids)
+    frontier = list(main_ids)
     while frontier:
         tid = frontier.pop()
         for child in children.get(tid, ()):

@@ -1,7 +1,7 @@
 """Command line entry points.
 
-Exit codes: 0 success, 1 scenario expectation mismatch, 2 data/parse
-error, 3 usage error.
+Exit codes: 0 success, 1 scenario expectation mismatch, 2 data, parse
+or analysis error, 3 usage error.
 """
 
 from __future__ import annotations
@@ -11,10 +11,11 @@ import os
 import sys
 import time
 
-from .analyzer import HeuristicConfig
+from .analyzer import AnalyzerError, HeuristicConfig
 from .clock import RealMonotonicClock, VirtualClock
 from .report import build_report, render_json, render_text, write_histogram_csvs
 from .scenarios import SCENARIOS, UnknownScenario, run_scenario
+from .trace_model import CorrelationError
 from .tracelog import TraceLogError, count_contexts, parse_trace, write_trace
 
 EXIT_OK = 0
@@ -146,7 +147,10 @@ def _cmd_analyze(args) -> int:
         timer.lap("read+parse", files=len(sessions),
                   events=sum(len(s.events) for s in sessions),
                   bytes=read, contexts=contexts)
-    report = build_report(sessions, cfg=cfg)
+    try:
+        report = build_report(sessions, cfg=cfg)
+    except (CorrelationError, AnalyzerError) as exc:
+        raise _DataError(str(exc)) from exc
     if timer is not None:
         timer.lap("build", rows=len(report.rows), histograms=len(report.histograms))
     render = render_json if args.format == "json" else render_text

@@ -99,8 +99,6 @@ def build_report(
     histograms = []
     for config_i, session in enumerate(sessions):
         config_entries.append((config_i, session.config_label))
-        if not session.events:
-            continue  # an idle run contributes a config entry, nothing else
         records = correlate(session.events)
         lineage = build_lineage(session.events)
         kept = filter_ui_triggered(records, lineage)

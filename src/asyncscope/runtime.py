@@ -1007,8 +1007,7 @@ class _VirtualEngine:
         self._post(self._clock.now_ns(), partial(self._run, state, worker))
 
     def call_later(self, worker: _Worker, delay_ns: int, fn) -> None:
-        self._post(self._clock.now_ns() + delay_ns,
-                   partial(self._session._call_as, worker.ident, fn))
+        self._post(self._clock.now_ns() + delay_ns, fn)
 
     def call_at(self, t_ns: int, ident: ThreadIdentity, fn) -> None:
         if t_ns < self._clock.now_ns():

@@ -315,7 +315,8 @@ def parse_trace(data: bytes) -> TraceSession:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise MalformedLine(f"invalid UTF-8: {exc}", 0) from None
+        raise MalformedLine(f"invalid UTF-8: {exc}",
+                            data.count(b"\n", 0, exc.start) + 1) from None
     if "\r" in text:  # _escape writes none; a CRLF stream would parse wrong
         line_no = text.count("\n", 0, text.index("\r")) + 1
         raise MalformedLine("carriage return in a line", line_no)

@@ -16,7 +16,6 @@ from asyncscope.analyzer import (
     HeuristicConfig,
     Metric,
     MultipleMainThreads,
-    NoMainThread,
     build_lineage,
     compute_stats,
     detect_anomalies,
@@ -77,8 +76,10 @@ def test_lineage_main_only():
 
 
 def test_lineage_requires_unique_main():
-    with pytest.raises(NoMainThread):
-        build_lineage([_spawn(ThreadIdentity(2, None))])
+    """A trace that never shows its main thread reaches nothing from it,
+    not even a thread whose parent is the main thread's id."""
+    assert build_lineage([_spawn(ThreadIdentity(2, 1))]).offspring == frozenset()
+    assert build_lineage([]).offspring == frozenset()
     with pytest.raises(MultipleMainThreads):
         build_lineage([_spawn(MAIN), _spawn(ThreadIdentity(7, None, True))])
 

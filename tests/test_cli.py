@@ -7,7 +7,8 @@ import pytest
 from asyncscope.cli import EXIT_DATA, EXIT_EXPECTATION, EXIT_OK, EXIT_USAGE, main
 from asyncscope.report import build_report
 from asyncscope.scenarios import SCENARIOS
-from asyncscope.tracelog import read_trace
+from asyncscope.trace_model import EventKind, Mechanism, TaskEvent, ThreadIdentity, TraceSession
+from asyncscope.tracelog import encode_session, read_trace
 
 
 def test_list_names_every_scenario(capsys):
@@ -177,6 +178,26 @@ def test_analyze_corrupt_trace(tmp_path, capsys):
     path.write_bytes(b"PD2|SESSION|x|y|0\nPD2|EV|1|oops\n")
     assert main(["analyze", str(path)]) == EXIT_DATA
     assert "junk.pdt" in capsys.readouterr().err
+
+
+MAIN = ThreadIdentity(1, None, True)
+
+
+@pytest.mark.parametrize("events, message", [
+    ([TaskEvent(0, EventKind.START, Mechanism.POOL_EXECUTOR, "POOL#1", MAIN)],
+     "START for unknown task"),
+    ([TaskEvent(0, EventKind.SPAWN, None, None, MAIN),
+      TaskEvent(0, EventKind.SPAWN, None, None, ThreadIdentity(2, None, True))],
+     "2 main threads"),
+], ids=["dangling-start", "two-main-threads"])
+def test_analyze_unanalysable_trace_is_a_data_error(tmp_path, capsys, events, message):
+    path = tmp_path / "bad.pdt"
+    path.write_bytes(encode_session(TraceSession("s", "c", 0, tuple(events))))
+    assert main(["analyze", str(path)]) == EXIT_DATA
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("asyncscope: error: ")
+    assert message in err[0] and captured.out == ""
 
 
 def test_analyze_missing_file(tmp_path, capsys):

@@ -147,6 +147,16 @@ def test_raw_carriage_return_positioned():
     assert exc_info.value.line_no == 4
 
 
+@pytest.mark.parametrize("data, line_no", [
+    (b"PD2|SESSION|s|c|0\n\xff\n", 2),
+    (b"PD2|SESSION|s\xff|c|0\n", 1),
+])
+def test_invalid_utf8_positioned(data, line_no):
+    with pytest.raises(MalformedLine, match="invalid UTF-8") as exc_info:
+        parse_trace(data)
+    assert exc_info.value.line_no == line_no
+
+
 def test_carriage_return_in_a_label_round_trips():
     events = _three_events()
     events[0] = events[0]._replace(
